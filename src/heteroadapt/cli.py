@@ -114,7 +114,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         "--weighting", choices=["conditional", "ones"], default="conditional"
     )
     parser.add_argument("--leaky-slope", type=float, default=0.01)
-    parser.add_argument("--eval-stride", type=int, default=1)
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -130,7 +129,6 @@ def _config_from_args(args) -> TrainConfig:
         lg_norm=args.lg,
         weighting=args.weighting,
         leaky_slope=args.leaky_slope,
-        eval_stride=args.eval_stride,
     )
     config.validate()
     return config

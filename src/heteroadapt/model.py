@@ -11,7 +11,7 @@ through an averaged sigmoid so weights stay inside [0.5, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -207,14 +207,17 @@ class TransformerNodes:
 
 @dataclass
 class ModelNodes:
+    """Parameter nodes on one tape; the discriminator slots stay empty until
+    `lift_discriminator` fills them."""
+
     sources: tuple[TransformerNodes, ...]
     target: TransformerNodes
     cls_w: Node
     cls_b: Node
-    disc_w1: Node
-    disc_b1: Node
-    disc_w2: Node
-    disc_b2: Node
+    disc_w1: Node | None = None
+    disc_b1: Node | None = None
+    disc_w2: Node | None = None
+    disc_b2: Node | None = None
 
 
 def lift_params(tape: Tape, params: ModelParams, *, train_fg: bool, train_d: bool) -> ModelNodes:
@@ -225,7 +228,13 @@ def lift_params(tape: Tape, params: ModelParams, *, train_fg: bool, train_d: boo
     `d_parameters`); frozen groups become constants. Tied second layers
     are lifted once and the node is shared.
     """
-    lift = tape.param if train_fg else tape.constant
+    model = lift_fg(tape, params, trainable=train_fg)
+    return lift_discriminator(tape, model, params.discriminator, trainable=train_d)
+
+
+def lift_fg(tape: Tape, params: ModelParams, *, trainable: bool) -> ModelNodes:
+    """Transformers and classifier only, in `fg_parameters` order."""
+    lift = tape.param if trainable else tape.constant
     firsts = []
     for t in params.sources:
         if params.tied_second:
@@ -239,12 +248,15 @@ def lift_params(tape: Tape, params: ModelParams, *, train_fg: bool, train_d: boo
         sources = tuple(TransformerNodes(w1, b1, tw2, tb2) for (w1, b1) in firsts)
     else:
         sources = tuple(TransformerNodes(*quad) for quad in firsts)
-    cls_w, cls_b = lift(params.classifier.w), lift(params.classifier.b)
-    lift_d = tape.param if train_d else tape.constant
-    d = params.discriminator
-    return ModelNodes(
-        sources, target, cls_w, cls_b, lift_d(d.w1), lift_d(d.b1), lift_d(d.w2), lift_d(d.b2)
-    )
+    return ModelNodes(sources, target, lift(params.classifier.w), lift(params.classifier.b))
+
+
+def lift_discriminator(tape: Tape, model: ModelNodes, disc: DiscriminatorParams, *,
+                       trainable: bool) -> ModelNodes:
+    """`model` with the discriminator lifted onto the same tape."""
+    lift = tape.param if trainable else tape.constant
+    return replace(model, disc_w1=lift(disc.w1), disc_b1=lift(disc.b1),
+                   disc_w2=lift(disc.w2), disc_b2=lift(disc.b2))
 
 
 # -- forward passes -----------------------------------------------------------
@@ -507,11 +519,18 @@ def classification_loss(
     """Weighted source cross-entropy, labeled-target cross-entropy, and an
     optional squared penalty on classifier/transformer weight matrices
     (biases and the discriminator are never regularized)."""
+    return _classification(model, emb, batch, weights, tau)[0]
+
+
+def _classification(model, emb, batch, weights, tau) -> tuple[Node, list[Node]]:
+    """`classification_loss` plus the per-source logit nodes it builds."""
     target_ce = softmax_cross_entropy(classify(model, emb.target_labeled), batch.target_onehot)
     total = target_ce
+    source_logits = []
     for w_k, emb_k, onehot_k in zip(weights, emb.sources, batch.source_onehot):
-        ce = softmax_cross_entropy(classify(model, emb_k), onehot_k)
-        total = total + w_k * ce
+        logits = classify(model, emb_k)
+        source_logits.append(logits)
+        total = total + w_k * softmax_cross_entropy(logits, onehot_k)
     if tau > 0.0:
         seen: set[int] = set()
         penalty = None
@@ -521,7 +540,7 @@ def classification_loss(
             seen.add(node.index)
             penalty = sum_sq(node) if penalty is None else penalty + sum_sq(node)
         total = total + tau * penalty
-    return total
+    return total, source_logits
 
 
 def domain_loss(
@@ -557,8 +576,31 @@ def domain_loss(
 
 
 @dataclass
+class EmbeddingPass:
+    """One tape with every domain embedded once, plus what the weighting
+    reads off it: soft-label logits, divergences and source weights.
+
+    The f/g parameters are trainable leaves; the discriminator is not on the
+    tape yet, so its step can run first and `transformer_objective` then
+    lifts the updated one.
+    """
+
+    tape: Tape
+    model: ModelNodes
+    emb: TaskEmbeddings
+    soft_logits: Node | None
+    deltas: list[Node]
+    weights: list[Node | float]
+    conditional: bool
+
+
+@dataclass
 class TransformerObjective:
-    """The scalar minimized over transformers + classifier, with its parts."""
+    """The scalar minimized over transformers + classifier, with its parts.
+
+    `deltas` holds the divergence nodes the weights are built from, or None
+    when the weights are constant ones.
+    """
 
     tape: Tape
     objective: Node
@@ -567,6 +609,7 @@ class TransformerObjective:
     inverted_domain: Node
     deltas: list[Node] | None
     weights: list[Node | float]
+    source_logits: list[Node]
 
 
 def divergence_nodes(
@@ -587,6 +630,74 @@ def divergence_nodes(
     ]
 
 
+def embedding_pass(
+    params: ModelParams,
+    batch: TaskBatch,
+    *,
+    weighting: str = "conditional",
+    slope: float = 0.01,
+    soft: np.ndarray | None = None,
+) -> EmbeddingPass:
+    """Embed every domain once and build the weighting on the same tape.
+
+    Without supplied soft labels they come from classifying the unlabeled
+    target embedding; those logits are kept for evaluation. Divergences are
+    built for every source under either weighting (`ones` runs still record
+    them); only conditional weighting with two or more sources turns them
+    into weight nodes. Node order matters for bit-exact gradients:
+    `Tape.backward` sums contributions into a shared embedding in reverse
+    tape order, so the classification logits must come after the
+    divergences, where `transformer_objective` creates them.
+    """
+    if weighting not in ("conditional", "ones"):
+        raise ConfigError(f"weighting must be 'conditional' or 'ones', got {weighting!r}")
+    tape = Tape()
+    model = lift_fg(tape, params, trainable=True)
+    emb = embed_batch(model, tape, batch, slope)
+    soft_logits = None
+    if soft is None and emb.target_unlabeled is not None:
+        soft_logits = classify(model, emb.target_unlabeled)
+        soft = softmax_values(soft_logits.value)
+    deltas = divergence_nodes(emb, batch, soft)
+    conditional = weighting == "conditional" and batch.num_sources >= 2
+    weights = source_weight_nodes(deltas) if conditional else [1.0] * batch.num_sources
+    return EmbeddingPass(tape, model, emb, soft_logits, deltas, weights, conditional)
+
+
+def transformer_objective(
+    fwd: EmbeddingPass,
+    discriminator: DiscriminatorParams,
+    batch: TaskBatch,
+    *,
+    beta: float,
+    tau: float,
+    lg_norm: str = "l1",
+) -> TransformerObjective:
+    """Finish the loss minimized over {transformers, classifier} on `fwd`'s tape.
+
+    The discriminator is lifted as constants; under conditional weighting
+    the weights are live nodes, so gradients reach the transformers both
+    through the losses they scale and through the divergences themselves.
+    """
+    if lg_norm not in ("l1", "l2", "off", "tied"):
+        raise ConfigError(f"lg_norm must be one of l1/l2/off/tied, got {lg_norm!r}")
+    tape, emb, weights = fwd.tape, fwd.emb, fwd.weights
+    model = lift_discriminator(tape, fwd.model, discriminator, trainable=False)
+    cls, source_logits = _classification(model, emb, batch, weights, tau)
+    cons = None
+    if lg_norm in ("l1", "l2") and batch.num_sources >= 1:
+        cons = consistency_loss(tape, model, lg_norm)
+    inv = domain_loss(model, emb, weights, inverted=True)
+
+    objective = cls
+    if cons is not None:
+        objective = objective + cons
+    if beta > 0.0:
+        objective = objective + beta * inv
+    deltas = fwd.deltas if fwd.conditional else None
+    return TransformerObjective(tape, objective, cls, cons, inv, deltas, weights, source_logits)
+
+
 def build_transformer_objective(
     params: ModelParams,
     batch: TaskBatch,
@@ -598,43 +709,13 @@ def build_transformer_objective(
     slope: float = 0.01,
     soft: np.ndarray | None = None,
 ) -> TransformerObjective:
-    """Assemble the loss minimized over {transformers, classifier}.
-
-    Under conditional weighting the divergences and weights are rebuilt on
-    the tape, so gradients reach the transformers both through the losses
-    they scale and through the divergences themselves. Soft labels are
-    constants; when not supplied they are computed from `params` first.
-    The discriminator is frozen (lifted as constants).
-    """
-    if weighting not in ("conditional", "ones"):
-        raise ConfigError(f"weighting must be 'conditional' or 'ones', got {weighting!r}")
-    if lg_norm not in ("l1", "l2", "off", "tied"):
-        raise ConfigError(f"lg_norm must be one of l1/l2/off/tied, got {lg_norm!r}")
-    if soft is None and batch.target_unlabeled_x is not None and weighting == "conditional":
-        soft = soft_labels(params, batch.target_unlabeled_x, slope)
-    tape = Tape()
-    model = lift_params(tape, params, train_fg=True, train_d=False)
-    emb = embed_batch(model, tape, batch, slope)
-
-    deltas: list[Node] | None = None
-    if weighting == "conditional" and batch.num_sources >= 2:
-        deltas = divergence_nodes(emb, batch, soft)
-        weights = source_weight_nodes(deltas)
-    else:
-        weights = [1.0] * batch.num_sources
-
-    cls = classification_loss(model, emb, batch, weights, tau)
-    cons = None
-    if lg_norm in ("l1", "l2") and batch.num_sources >= 1:
-        cons = consistency_loss(tape, model, lg_norm)
-    inv = domain_loss(model, emb, weights, inverted=True)
-
-    objective = cls
-    if cons is not None:
-        objective = objective + cons
-    if beta > 0.0:
-        objective = objective + beta * inv
-    return TransformerObjective(tape, objective, cls, cons, inv, deltas, weights)
+    """`embedding_pass` then `transformer_objective` with `params`' own
+    discriminator. Soft labels are constants; when not supplied they come
+    from `params` on the same tape."""
+    fwd = embedding_pass(params, batch, weighting=weighting, slope=slope, soft=soft)
+    return transformer_objective(
+        fwd, params.discriminator, batch, beta=beta, tau=tau, lg_norm=lg_norm
+    )
 
 
 def build_discriminator_objective(

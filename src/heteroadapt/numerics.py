@@ -153,15 +153,8 @@ class Tape:
     def num_nodes(self) -> int:
         return len(self._values)
 
-    def op_name(self, index: int) -> str:
-        return self._ops[index]
-
     def parents_of(self, index: int) -> tuple[int, ...]:
         return self._parents[index]
-
-    @property
-    def param_nodes(self) -> list[Node]:
-        return [Node(self, i) for i in self._param_indices]
 
     # -- reverse pass ----------------------------------------------------
 

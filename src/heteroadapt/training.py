@@ -1,11 +1,32 @@
 """Alternating two-optimizer training loop with per-iteration weighting.
 
-Each iteration: soft labels, divergences, and weights are recomputed from
-the current parameters; the discriminator takes one Adam step against the
-true domain labels (transformers frozen, weights constant); then the
-transformers and classifier take one Adam step against the combined
-objective with swapped domain labels (discriminator frozen, weights live
-on the tape so gradients reach the divergences).
+Each iteration builds one tape and pushes every domain through its
+transformer on it once; everything else is read off that tape's values:
+
+1. lift the transformer/classifier parameters as trainable leaves and
+   embed all domains;
+2. classify the unlabeled-target embedding; its softmax gives the soft
+   labels;
+3. build the class-conditional divergences (under either weighting, since
+   `ones` runs still record them) and, with conditional weighting and two
+   or more sources, the source-weight nodes;
+4. take one discriminator Adam step against the true domain labels, on the
+   embedding values and the weights' values as constants;
+5. lift the updated discriminator onto the same tape as constants, add the
+   classification, consistency and inverted-domain losses, backpropagate,
+   and take one transformer/classifier Adam step. The weights stay live on
+   the tape, so gradients reach the divergences.
+
+`Tape.backward` sums gradient contributions into a shared embedding node
+in reverse tape order, so the node order above is part of the numerics:
+the source logits are built by the classification loss, after the
+divergences, and evaluation reads them there rather than building them
+earlier.
+
+Evaluation costs no forward of its own: iteration i+1 starts from the
+parameters step i produced and runs the same op sequence an evaluation
+would, so iteration i's accuracies are read from iteration i+1's soft-label
+and source logits. Only the last iteration is evaluated separately.
 """
 
 from __future__ import annotations
@@ -23,19 +44,15 @@ from .model import (
     TaskBatch,
     TransformerParams,
     build_discriminator_objective,
-    build_transformer_objective,
     classifier_logits,
-    classify,
     d_parameters,
-    divergence_nodes,
-    embed_batch,
+    embedding_pass,
     fg_parameters,
-    lift_params,
     replace_d,
     replace_fg,
-    source_weights,
+    transformer_objective,
 )
-from .numerics import Adam, Tape, Tensor, softmax_values
+from .numerics import Adam, Node, Tensor
 
 LG_NORMS = ("l1", "l2", "off", "tied")
 WEIGHTINGS = ("conditional", "ones")
@@ -54,7 +71,6 @@ class TrainConfig:
     lg_norm: str = "l1"
     weighting: str = "conditional"
     leaky_slope: float = 0.01
-    eval_stride: int = 1
 
     def validate(self) -> None:
         if self.beta < 0 or self.tau < 0:
@@ -73,8 +89,6 @@ class TrainConfig:
             raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         if self.leaky_slope < 0:
             raise ConfigError("leaky_slope must be non-negative")
-        if self.eval_stride < 1:
-            raise ConfigError("eval_stride must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,8 +173,12 @@ def evaluate_accuracy(params: ModelParams, features, labels, slope: float = 0.01
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ConfigError("evaluation set is empty")
-    predicted = predict_classes(params, features, slope, transformer)
-    return float(np.mean(predicted == labels))
+    t = params.target if transformer is None else transformer
+    return _hit_rate(classifier_logits(params, t, features, slope), labels)
+
+
+def _hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def _accuracies(params: ModelParams, task: MultiSourceTask, slope: float):
@@ -177,61 +195,50 @@ def _accuracies(params: ModelParams, task: MultiSourceTask, slope: float):
 # -- one iteration ----------------------------------------------------------------
 
 
-def iteration_state(params: ModelParams, batch: TaskBatch, config: TrainConfig):
-    """Soft labels, divergences, weights, and embedding values, one forward pass.
+def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
+               batch: TaskBatch, config: TrainConfig, eval_labels: np.ndarray):
+    """One alternation on one tape: discriminator step, then
+    transformer/classifier step (order in the module docstring).
 
-    The same op sequence later rebuilds the divergences on the training
-    tape, so recorded values match the optimized ones bit for bit.
+    Returns the updated parameters, the loss/weighting scalars recorded for
+    the trace, and the (source, target) accuracies of the parameters the
+    step *started from*, read off its forward: per-source accuracy from the
+    classification-loss logits, target accuracy on the unlabeled split
+    against `eval_labels` from the soft-label logits.
     """
-    tape = Tape()
-    model = lift_params(tape, params, train_fg=False, train_d=False)
-    emb = embed_batch(model, tape, batch, config.leaky_slope)
-    soft = None
-    if batch.target_unlabeled_x is not None:
-        soft = softmax_values(classify(model, emb.target_unlabeled).value)
-    if batch.num_sources >= 1:
-        deltas = np.array([float(d.value) for d in divergence_nodes(emb, batch, soft)])
-    else:
-        deltas = np.zeros(0)
-    if config.weighting == "conditional" and batch.num_sources >= 1:
-        weights = np.array(source_weights(deltas).weights)
-    else:
-        weights = np.ones(batch.num_sources)
+    fwd = embedding_pass(params, batch, weighting=config.weighting, slope=config.leaky_slope)
+    deltas = tuple(float(d.value) for d in fwd.deltas)
+    weights = tuple(float(w.value) if isinstance(w, Node) else w for w in fwd.weights)
+    emb = fwd.emb
     emb_values = (
         [e.value for e in emb.sources],
         emb.target_labeled.value,
         None if emb.target_unlabeled is None else emb.target_unlabeled.value,
     )
-    return soft, deltas, weights, emb_values
-
-
-def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
-               batch: TaskBatch, config: TrainConfig):
-    """One alternation: discriminator step, then transformer/classifier step.
-
-    Returns the updated parameters and the loss/weighting scalars recorded
-    for the trace.
-    """
-    soft, deltas, weights, emb_values = iteration_state(params, batch, config)
 
     d_tape, d_loss = build_discriminator_objective(
         params, batch, weights, slope=config.leaky_slope, embedding_values=emb_values
     )
     loss_d = float(d_loss.value)
     params = replace_d(params, opt_d.step(d_parameters(params), d_tape.backward(d_loss)))
+    del d_tape, d_loss
 
-    obj = build_transformer_objective(
-        params, batch,
+    obj = transformer_objective(
+        fwd, params.discriminator, batch,
         beta=config.beta, tau=config.tau, lg_norm=config.lg_norm,
-        weighting=config.weighting, slope=config.leaky_slope, soft=soft,
     )
     fg_grads = obj.tape.backward(obj.objective)
     params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
 
+    source_acc = tuple(
+        _hit_rate(z.value, y) for z, y in zip(obj.source_logits, batch.source_labels)
+    )
+    target_acc = _hit_rate(fwd.soft_logits.value, eval_labels)
     loss_fg = float(obj.classification.value)
     loss_lg = 0.0 if obj.consistency is None else float(obj.consistency.value)
     loss_dg_inv = float(obj.inverted_domain.value)
-    return params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights
+    return (params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights,
+            (source_acc, target_acc))
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -248,7 +255,11 @@ def train(task: MultiSourceTask, config: TrainConfig,
           params: ModelParams | None = None) -> TrainTrace:
     """Run full-batch alternating training and record every iteration.
 
-    Identical (task, config, params) inputs produce bit-identical traces.
+    One `train_step` per iteration; each step's forward also evaluates the
+    parameters the previous step produced, so iteration i's accuracies are
+    filled in by step i+1, and one trailing evaluation covers the last
+    step. Identical (task, config, params) inputs produce bit-identical
+    traces.
     """
     config.validate()
     validate_task(task)
@@ -258,19 +269,16 @@ def train(task: MultiSourceTask, config: TrainConfig,
     opt_fg = Adam(fg_parameters(params), config.lr_fg)
     opt_d = Adam(d_parameters(params), config.lr_d)
     trace = TrainTrace()
-    source_acc: tuple[float, ...] = tuple(0.0 for _ in task.sources)
-    target_acc = 0.0
+    pending = None  # the previous step's record fields, awaiting its accuracies
     for it in range(config.iterations):
-        params, losses, deltas, weights = train_step(params, opt_fg, opt_d, batch, config)
-        if it % config.eval_stride == 0 or it == config.iterations - 1:
-            source_acc, target_acc = _accuracies(params, task, config.leaky_slope)
-        trace.records.append(
-            IterationRecord(
-                it, *losses,
-                tuple(float(d) for d in deltas),
-                tuple(float(w) for w in weights),
-                source_acc, target_acc,
-            )
+        params, losses, deltas, weights, accuracy = train_step(
+            params, opt_fg, opt_d, batch, config, task.eval_labels
         )
+        if pending is not None:
+            trace.records.append(IterationRecord(it - 1, *pending, *accuracy))
+        pending = (*losses, deltas, weights)
+    if pending is not None:
+        accuracy = _accuracies(params, task, config.leaky_slope)
+        trace.records.append(IterationRecord(config.iterations - 1, *pending, *accuracy))
     trace.final_params = params
     return trace

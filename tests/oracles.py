@@ -62,3 +62,100 @@ def naive_source_weights(deltas):
                 acc += 1.0 / (1.0 + np.exp(-deltas[j]))
         out.append(acc / (k_total - 1))
     return out
+
+
+def three_forward_train(task, config):
+    """The training loop as it stood before one tape per iteration.
+
+    Unlike the oracles above this reuses the package's building blocks
+    (layers, losses, Adam); what it keeps independent is the loop's
+    structure. Each iteration pushes every domain through its transformer
+    three times: a constant-tape weighting pass (soft labels, divergences,
+    value-path weights), a separate transformer-objective tape built in its
+    old node order, and an evaluation forward after the step. Returns the
+    records and the final parameters.
+    """
+    from heteroadapt.model import (
+        build_discriminator_objective,
+        classification_loss,
+        classify,
+        consistency_loss,
+        d_parameters,
+        divergence_nodes,
+        domain_loss,
+        embed_batch,
+        fg_parameters,
+        lift_params,
+        replace_d,
+        replace_fg,
+        source_weight_nodes,
+        source_weights,
+    )
+    from heteroadapt.numerics import Adam, Tape, softmax_values
+    from heteroadapt.training import (
+        IterationRecord,
+        batch_from_task,
+        evaluate_accuracy,
+        init_params,
+    )
+
+    slope = config.leaky_slope
+    conditional = config.weighting == "conditional"
+    batch = batch_from_task(task)
+    params = init_params(task, config)
+    opt_fg = Adam(fg_parameters(params), config.lr_fg)
+    opt_d = Adam(d_parameters(params), config.lr_d)
+    records = []
+    for it in range(config.iterations):
+        # forward 1: the weighting pass on a constant tape
+        tape = Tape()
+        model = lift_params(tape, params, train_fg=False, train_d=False)
+        emb = embed_batch(model, tape, batch, slope)
+        soft = softmax_values(classify(model, emb.target_unlabeled).value)
+        deltas = np.array([float(d.value) for d in divergence_nodes(emb, batch, soft)])
+        if conditional:
+            weights = np.array(source_weights(deltas).weights)
+        else:
+            weights = np.ones(batch.num_sources)
+        emb_values = (
+            [e.value for e in emb.sources], emb.target_labeled.value, emb.target_unlabeled.value
+        )
+        d_tape, d_loss = build_discriminator_objective(
+            params, batch, weights, slope=slope, embedding_values=emb_values
+        )
+        loss_d = float(d_loss.value)
+        params = replace_d(params, opt_d.step(d_parameters(params), d_tape.backward(d_loss)))
+
+        # forward 2: the transformer objective on its own tape
+        tape = Tape()
+        model = lift_params(tape, params, train_fg=True, train_d=False)
+        emb = embed_batch(model, tape, batch, slope)
+        live = [1.0] * batch.num_sources
+        if conditional and batch.num_sources >= 2:
+            live = source_weight_nodes(divergence_nodes(emb, batch, soft))
+        cls = classification_loss(model, emb, batch, live, config.tau)
+        cons = None
+        if config.lg_norm in ("l1", "l2"):
+            cons = consistency_loss(tape, model, config.lg_norm)
+        inv = domain_loss(model, emb, live, inverted=True)
+        objective = cls if cons is None else cls + cons
+        if config.beta > 0.0:
+            objective = objective + config.beta * inv
+        grads = tape.backward(objective)
+        params = replace_fg(params, opt_fg.step(fg_parameters(params), grads))
+
+        # forward 3: evaluation of the updated parameters
+        source_acc = tuple(
+            evaluate_accuracy(params, s.features, s.labels, slope, params.sources[k])
+            for k, s in enumerate(task.sources)
+        )
+        target_acc = evaluate_accuracy(
+            params, task.target_unlabeled.features, task.eval_labels, slope
+        )
+        records.append(IterationRecord(
+            it, float(cls.value), 0.0 if cons is None else float(cons.value),
+            float(inv.value), loss_d,
+            tuple(float(d) for d in deltas), tuple(float(w) for w in weights),
+            source_acc, target_acc,
+        ))
+    return records, params

@@ -19,11 +19,12 @@ from heteroadapt.training import (
     batch_from_task,
     evaluate_accuracy,
     init_params,
-    iteration_state,
     predict_classes,
     train,
     train_step,
 )
+
+from oracles import three_forward_train
 
 
 def tiny_config(**overrides):
@@ -63,7 +64,6 @@ class TestConfig:
             dict(iterations=-1),
             dict(lg_norm="l3"),
             dict(weighting="softmax"),
-            dict(eval_stride=0),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).validate()
@@ -104,7 +104,9 @@ class TestInit:
 
 
 class TestTrainStep:
-    def test_discriminator_step_freezes_fg_and_vice_versa(self):
+    def test_discriminator_step_freezes_fg_and_vice_versa(self, monkeypatch):
+        import heteroadapt.training as training
+
         task = tiny_task()
         config = tiny_config()
         params = init_params(task, config)
@@ -112,20 +114,26 @@ class TestTrainStep:
         opt_fg = Adam(fg_parameters(params), config.lr_fg)
         opt_d = Adam(d_parameters(params), config.lr_d)
 
-        soft, deltas, weights, emb = iteration_state(params, batch, config)
-        from heteroadapt.model import build_discriminator_objective, replace_d
+        stepped = []  # what the discriminator step inside train_step produced
+        real_replace_d = training.replace_d
 
-        d_tape, d_loss = build_discriminator_objective(
-            params, batch, weights, slope=config.leaky_slope, embedding_values=emb
-        )
-        after_d = replace_d(params, opt_d.step(d_parameters(params), d_tape.backward(d_loss)))
+        def spy(p, tensors):
+            stepped.append(real_replace_d(p, tensors))
+            return stepped[-1]
+
+        monkeypatch.setattr(training, "replace_d", spy)
+        new_params, _, _, _, _ = train_step(params, opt_fg, opt_d, batch, config,
+                                            task.eval_labels)
+        (after_d,) = stepped
         for ta, tb in zip(fg_parameters(params), fg_parameters(after_d)):
             assert ta is tb  # f,g untouched by the discriminator step
+        assert not np.array_equal(after_d.discriminator.w1.array,
+                                  params.discriminator.w1.array)
 
-        new_params, _, _, _ = train_step(after_d, opt_fg, Adam(d_parameters(after_d), 0.001),
-                                         batch, config)
-        # one more full step: fg moved, and within it d stayed what opt_d produced
+        # then fg moved, and within the step d stayed what opt_d produced
         assert not np.array_equal(new_params.target.w1.array, after_d.target.w1.array)
+        for ta, tb in zip(d_parameters(after_d), d_parameters(new_params)):
+            assert ta is tb
 
     def test_conditional_weights_in_range(self):
         task = tiny_task()
@@ -152,27 +160,72 @@ class TestTrainStep:
             assert len(rec.deltas) == 2  # divergences still recorded
 
     def test_recorded_divergences_match_objective_tape_bitwise(self):
-        # the weighting pass and the transformer objective must run the
-        # same op sequence, so their divergence values agree exactly
-        from heteroadapt.model import build_transformer_objective, soft_labels
+        # the step records what its own tape computed, so a separately built
+        # objective from the same parameters agrees exactly
+        from heteroadapt.model import build_transformer_objective, embedding_pass, soft_labels
+        from heteroadapt.numerics import softmax_values
 
         task = tiny_task()
         config = tiny_config()
         params = init_params(task, config)
         batch = batch_from_task(task)
-        soft, deltas, weights, _ = iteration_state(params, batch, config)
+        _, _, deltas, weights, _ = train_step(
+            params, Adam(fg_parameters(params), config.lr_fg),
+            Adam(d_parameters(params), config.lr_d), batch, config, task.eval_labels,
+        )
         obj = build_transformer_objective(
             params, batch, beta=config.beta, tau=config.tau,
             lg_norm=config.lg_norm, weighting=config.weighting,
-            slope=config.leaky_slope, soft=soft,
+            slope=config.leaky_slope,
         )
         tape_deltas = np.array([float(d.value) for d in obj.deltas])
         tape_weights = np.array([float(w.value) for w in obj.weights])
-        assert np.array_equal(deltas, tape_deltas)
-        assert np.array_equal(weights, tape_weights)
+        assert np.array_equal(np.array(deltas), tape_deltas)
+        assert np.array_equal(np.array(weights), tape_weights)
+        fwd = embedding_pass(params, batch, weighting=config.weighting, slope=config.leaky_slope)
         np.testing.assert_array_equal(
-            soft, soft_labels(params, batch.target_unlabeled_x, config.leaky_slope)
+            softmax_values(fwd.soft_logits.value),
+            soft_labels(params, batch.target_unlabeled_x, config.leaky_slope),
         )
+
+    def test_one_transformer_forward_per_domain_per_step(self, monkeypatch):
+        # K sources + labeled + unlabeled target once per step, plus one
+        # evaluation (K sources + unlabeled target) after the last step
+        import heteroadapt.model as model
+
+        calls = []
+        real_transform = model.transform
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_transform(*args, **kwargs)
+
+        monkeypatch.setattr(model, "transform", counting)
+        task = tiny_task()
+        train(task, tiny_config(iterations=3))
+        k = task.num_sources
+        assert len(calls) == 3 * (k + 2) + (k + 1)
+
+
+@pytest.mark.parametrize(
+    "overrides, spec",
+    [
+        pytest.param(dict(lg_norm=lg, weighting=w), {}, id=f"{lg}-{w}")
+        for lg in ("l1", "l2", "off", "tied")
+        for w in ("conditional", "ones")
+    ]
+    + [pytest.param({}, dict(source_dims=(12,)), id="one-source")],
+)
+def test_train_matches_three_forward_loop(overrides, spec):
+    task = tiny_task(**spec)
+    config = tiny_config(iterations=5, **overrides)
+    want_records, want_params = three_forward_train(task, config)
+    trace = train(task, config)
+    assert trace.records == want_records
+    got = fg_parameters(trace.final_params) + d_parameters(trace.final_params)
+    want = fg_parameters(want_params) + d_parameters(want_params)
+    for ta, tb in zip(got, want, strict=True):
+        assert np.array_equal(ta.array, tb.array)
 
 
 class TestTrain:
@@ -193,13 +246,22 @@ class TestTrain:
         for ta, tb in zip(fg_parameters(a.final_params), fg_parameters(b.final_params)):
             assert np.array_equal(ta.array, tb.array)
 
-    def test_record_count_and_eval_stride(self):
+    def test_record_count_and_accuracy_from_next_forward(self):
+        # iteration i's accuracy is read off iteration i+1's forward; it must
+        # equal a fresh evaluation of the parameters step i produced
         task = tiny_task()
-        trace = train(task, tiny_config(iterations=7, eval_stride=3))
-        assert len(trace.records) == 7
-        accs = [r.target_accuracy for r in trace.records]
-        assert accs[0] == accs[1] == accs[2]  # evaluated at 0, carried to 1-2
-        assert trace.records[-1].iteration == 6
+        config = tiny_config(iterations=5)
+        trace = train(task, config)
+        assert len(trace.records) == 5
+        assert trace.records[-1].iteration == 4
+        for i in range(5):
+            prefix = train(task, tiny_config(iterations=i + 1))
+            got = trace.records[i].target_accuracy
+            assert got == prefix.final_accuracy
+            assert got == evaluate_accuracy(
+                prefix.final_params, task.target_unlabeled.features, task.eval_labels,
+                config.leaky_slope,
+            )
 
     def test_requires_sources(self):
         task = tiny_task()
