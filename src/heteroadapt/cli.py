@@ -143,10 +143,20 @@ def _out_dir(args) -> Path:
 # -- synth ---------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
+    """The synthetic-data knobs shared by `synth` and `experiment sweep`."""
+    parser.add_argument("--classes", type=int, default=3)
+    parser.add_argument("--per-class", type=int, default=100)
+    parser.add_argument("--latent-dim", type=int, default=10)
+    parser.add_argument("--target-labeled-per-class", type=int, default=3)
+    parser.add_argument("--target-unlabeled", type=int, default=500)
+    parser.add_argument("--spread", type=float, default=0.5)
+    parser.add_argument("--noise", type=float, default=0.1)
+
+
+def _synth_spec_from_args(args, seed: int, standardize: bool = True) -> SynthSpec:
     source_dims, target_dim = parse_dims(args.dims)
-    spec = SynthSpec(
+    return SynthSpec(
         source_dims=source_dims,
         target_dim=target_dim,
         classes=args.classes,
@@ -156,16 +166,21 @@ def cmd_synth(args) -> int:
         target_unlabeled=args.target_unlabeled,
         spread=args.spread,
         noise=args.noise,
-        seed=args.seed,
-        standardize=not args.no_standardize,
+        seed=seed,
+        standardize=standardize,
     )
+
+
+def cmd_synth(args) -> int:
+    started = time.time()
+    spec = _synth_spec_from_args(args, args.seed, standardize=not args.no_standardize)
     out = _out_dir(args)
     domains = generate_synthetic_domains(spec)
     paths = []
-    for domain, dim in zip(domains[:-1], source_dims):
+    for domain, dim in zip(domains[:-1], spec.source_dims):
         paths.append(out / f"{domain.name}_d{dim}.txt")
         save_domain_file(domain, paths[-1])
-    target_path = out / f"target_d{target_dim}.txt"
+    target_path = out / f"target_d{spec.target_dim}.txt"
     save_domain_file(domains[-1], target_path)
     paths.append(target_path)
     entries = {
@@ -306,19 +321,7 @@ def cmd_experiment(args) -> int:
         entries.update(provenance)
         entries["noise_dim"] = args.noise_dim
     else:  # sweep
-        source_dims, target_dim = parse_dims(args.dims)
-        spec = SynthSpec(
-            source_dims=source_dims,
-            target_dim=target_dim,
-            classes=args.classes,
-            latent_dim=args.latent_dim,
-            samples_per_class=args.per_class,
-            target_labeled_per_class=args.target_labeled_per_class,
-            target_unlabeled=args.target_unlabeled,
-            spread=args.spread,
-            noise=args.noise,
-            seed=args.task_seed,
-        )
+        spec = _synth_spec_from_args(args, args.task_seed)
         ns_values = [int(v) for v in args.ns.split(",") if v.strip()]
         summaries = run_source_sweep(spec, ns_values, seeds, config, jobs=args.jobs)
         write_summary_csvs(out / "runs.csv", out / "aggregate.csv", "sweep", summaries)
@@ -342,13 +345,7 @@ def build_parser() -> _Parser:
     synth = sub.add_parser("synth", parents=[], help="generate synthetic domain files")
     synth.add_argument("--dims", required=True,
                        help="source dims and target, e.g. 100:1000:100,target=2000")
-    synth.add_argument("--classes", type=int, default=3)
-    synth.add_argument("--per-class", type=int, default=100)
-    synth.add_argument("--latent-dim", type=int, default=10)
-    synth.add_argument("--target-labeled-per-class", type=int, default=3)
-    synth.add_argument("--target-unlabeled", type=int, default=500)
-    synth.add_argument("--spread", type=float, default=0.5)
-    synth.add_argument("--noise", type=float, default=0.1)
+    _add_synth_flags(synth)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--no-standardize", action="store_true")
     synth.add_argument("--out", required=True)
@@ -377,13 +374,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--standardize", action="store_true")
     exp.add_argument("--task-seed", type=int, default=0)
     exp.add_argument("--dims", default=DEFAULT_SWEEP_DIMS)
-    exp.add_argument("--classes", type=int, default=3)
-    exp.add_argument("--per-class", type=int, default=100)
-    exp.add_argument("--latent-dim", type=int, default=10)
-    exp.add_argument("--target-labeled-per-class", type=int, default=3)
-    exp.add_argument("--target-unlabeled", type=int, default=500)
-    exp.add_argument("--spread", type=float, default=0.5)
-    exp.add_argument("--noise", type=float, default=0.1)
+    _add_synth_flags(exp)
     exp.add_argument("--out", required=True)
     _add_model_flags(exp)
     exp.set_defaults(func=cmd_experiment)

@@ -52,15 +52,19 @@ def domain_label_rows(n: int, is_target: bool, inverted: bool) -> np.ndarray:
 
 # -- parameter containers ----------------------------------------------------
 
+# The containers hold Tensors as stored parameters, or Nodes once lifted
+# onto a tape; structure and shape checks are the same for both.
+Leaf = Tensor | Node
+
 
 @dataclass(frozen=True)
 class TransformerParams:
     """Two-layer map d_in -> hidden -> d_c (weights (in, out), bias (out,))."""
 
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    w1: Leaf
+    b1: Leaf
+    w2: Leaf
+    b2: Leaf
 
     def __post_init__(self):
         if self.w1.shape[1] != self.b1.shape[0] or self.w2.shape[1] != self.b2.shape[0]:
@@ -83,18 +87,18 @@ class TransformerParams:
 class ClassifierParams:
     """Single affine map d_c -> C; softmax only happens inside losses."""
 
-    w: Tensor
-    b: Tensor
+    w: Leaf
+    b: Leaf
 
 
 @dataclass(frozen=True)
 class DiscriminatorParams:
     """Two-layer source-vs-target head: relu hidden layer, linear 2-way output."""
 
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    w1: Leaf
+    b1: Leaf
+    w2: Leaf
+    b2: Leaf
 
     def __post_init__(self):
         if self.w2.shape[1] != 2:
@@ -104,21 +108,41 @@ class DiscriminatorParams:
 @dataclass(frozen=True)
 class ModelParams:
     """All learnable state: per-source and target transformers, classifier,
-    discriminator. `tied_second` marks that every transformer shares one
-    physical second-layer block (the target's)."""
+    discriminator.
+
+    Tying is sharing: the sources' second layers are tied when every source
+    holds the target's own `w2` and `b2` objects, and `tied_second` reads
+    that off. Partial sharing (some sources share and others do not, or a
+    source shares `w2` but not `b2`) is rejected. A model without sources is
+    untied.
+
+    The flat f/g order, used by `fg_parameters`, `replace_fg`, the trainable
+    leaves of a tape and the Adam slots, is: per source `w1, b1, w2, b2`
+    (only `w1, b1` when tied), then the target's `w1, b1, w2, b2`, then the
+    classifier's `w, b`. A tied second layer thus appears once, with the
+    target.
+    """
 
     sources: tuple[TransformerParams, ...]
     target: TransformerParams
     classifier: ClassifierParams
     discriminator: DiscriminatorParams
-    tied_second: bool = False
 
     def __post_init__(self):
         second = (self.target.w2.shape, self.target.b2.shape)
+        tied = self.tied_second
         for k, t in enumerate(self.sources):
             if (t.w2.shape, t.b2.shape) != second:
                 raise ShapeError(
                     f"source {k} second layer {t.w2.shape} differs from target {second[0]}"
+                )
+            held = [name for name, own in (("w2", t.w2), ("b2", t.b2))
+                    if own is getattr(self.target, name)]
+            if len(held) != 2 * tied:
+                raise ShapeError(
+                    f"source {k} holds {' and '.join(held) or 'neither'} of the target's "
+                    "w2 and b2; sources must all hold both (tied) or all neither "
+                    f"(untied), and source 0 {'holds' if tied else 'does not hold'} w2"
                 )
         d_c = self.target.d_out
         if self.classifier.w.shape[0] != d_c:
@@ -131,6 +155,11 @@ class ModelParams:
             )
 
     @property
+    def tied_second(self) -> bool:
+        """Whether the sources share the target's second layer (see class doc)."""
+        return bool(self.sources) and self.sources[0].w2 is self.target.w2
+
+    @property
     def num_sources(self) -> int:
         return len(self.sources)
 
@@ -139,157 +168,113 @@ class ModelParams:
         return self.target.d_out
 
 
-def fg_parameters(params: ModelParams) -> list[Tensor]:
-    """Transformer + classifier tensors in a fixed flat order.
-
-    With tied second layers the shared block appears exactly once (with the
-    target transformer); otherwise each transformer contributes all four
-    tensors.
-    """
-    out: list[Tensor] = []
+def fg_parameters(params: ModelParams) -> list[Leaf]:
+    """Transformer + classifier leaves in the flat order of `ModelParams`."""
+    tied = params.tied_second
+    out: list[Leaf] = []
     for t in params.sources:
-        out.extend([t.w1, t.b1] if params.tied_second else [t.w1, t.b1, t.w2, t.b2])
+        out.extend([t.w1, t.b1] if tied else [t.w1, t.b1, t.w2, t.b2])
     out.extend([params.target.w1, params.target.b1, params.target.w2, params.target.b2])
     out.extend([params.classifier.w, params.classifier.b])
     return out
 
 
-def replace_fg(params: ModelParams, tensors: Sequence[Tensor]) -> ModelParams:
-    """Rebuild ModelParams from a flat list in `fg_parameters` order."""
-    tensors = list(tensors)
-    expected = len(fg_parameters(params))
-    if len(tensors) != expected:
-        raise ShapeError(f"expected {expected} tensors, got {len(tensors)}")
-    it = iter(tensors)
-    firsts = []
-    for _ in params.sources:
-        if params.tied_second:
-            firsts.append((next(it), next(it)))
-        else:
-            firsts.append((next(it), next(it), next(it), next(it)))
-    tw1, tb1, tw2, tb2 = next(it), next(it), next(it), next(it)
-    target = TransformerParams(tw1, tb1, tw2, tb2)
-    if params.tied_second:
-        sources = tuple(TransformerParams(w1, b1, tw2, tb2) for (w1, b1) in firsts)
-    else:
-        sources = tuple(TransformerParams(*quad) for quad in firsts)
+def replace_fg(params: ModelParams, leaves: Sequence[Leaf]) -> ModelParams:
+    """Rebuild `params` from a flat list in `fg_parameters` order.
+
+    The leaves may be Tensors or Nodes; a tied model stays tied, its sources
+    holding the new target second layer.
+    """
+    tied = params.tied_second
+    per_source = 2 if tied else 4
+    expected = per_source * params.num_sources + 6
+    if len(leaves) != expected:
+        raise ShapeError(f"expected {expected} tensors, got {len(leaves)}")
+    it = iter(leaves)
+    firsts = [[next(it) for _ in range(per_source)] for _ in params.sources]
+    target = TransformerParams(next(it), next(it), next(it), next(it))
+    if tied:
+        firsts = [[w1, b1, target.w2, target.b2] for w1, b1 in firsts]
+    sources = tuple(TransformerParams(*leaves_k) for leaves_k in firsts)
     classifier = ClassifierParams(next(it), next(it))
-    return ModelParams(sources, target, classifier, params.discriminator, params.tied_second)
+    return ModelParams(sources, target, classifier, params.discriminator)
 
 
-def d_parameters(params: ModelParams) -> list[Tensor]:
+def d_parameters(params: ModelParams) -> list[Leaf]:
     d = params.discriminator
     return [d.w1, d.b1, d.w2, d.b2]
 
 
-def replace_d(params: ModelParams, tensors: Sequence[Tensor]) -> ModelParams:
-    if len(tensors) != 4:
-        raise ShapeError(f"discriminator has 4 tensors, got {len(tensors)}")
-    return ModelParams(
-        params.sources,
-        params.target,
-        params.classifier,
-        DiscriminatorParams(*tensors),
-        params.tied_second,
-    )
+def replace_d(params: ModelParams, leaves: Sequence[Leaf]) -> ModelParams:
+    if len(leaves) != 4:
+        raise ShapeError(f"discriminator has 4 tensors, got {len(leaves)}")
+    return replace(params, discriminator=DiscriminatorParams(*leaves))
 
 
 # -- lifting parameters onto a tape ------------------------------------------
 
 
-@dataclass
-class TransformerNodes:
-    w1: Node
-    b1: Node
-    w2: Node
-    b2: Node
-
-
-@dataclass
-class ModelNodes:
-    """Parameter nodes on one tape; the discriminator slots stay empty until
-    `lift_discriminator` fills them."""
-
-    sources: tuple[TransformerNodes, ...]
-    target: TransformerNodes
-    cls_w: Node
-    cls_b: Node
-    disc_w1: Node | None = None
-    disc_b1: Node | None = None
-    disc_w2: Node | None = None
-    disc_b2: Node | None = None
-
-
-def lift_params(tape: Tape, params: ModelParams, *, train_fg: bool, train_d: bool) -> ModelNodes:
-    """Put every parameter tensor on the tape.
+def lift_params(tape: Tape, params: ModelParams, *, train_fg: bool,
+                train_d: bool) -> ModelParams:
+    """Put every parameter on the tape: the same containers with Node leaves.
 
     Trainable groups become `param` leaves (registered in the matching
     flat order, so `tape.backward` aligns with `fg_parameters` /
-    `d_parameters`); frozen groups become constants. Tied second layers
-    are lifted once and the node is shared.
+    `d_parameters`); frozen groups become constants.
     """
     model = lift_fg(tape, params, trainable=train_fg)
     return lift_discriminator(tape, model, params.discriminator, trainable=train_d)
 
 
-def lift_fg(tape: Tape, params: ModelParams, *, trainable: bool) -> ModelNodes:
-    """Transformers and classifier only, in `fg_parameters` order."""
+def lift_fg(tape: Tape, params: ModelParams, *, trainable: bool) -> ModelParams:
+    """Transformers and classifier lifted in `fg_parameters` order; the
+    discriminator is left as it is."""
     lift = tape.param if trainable else tape.constant
-    firsts = []
-    for t in params.sources:
-        if params.tied_second:
-            firsts.append((lift(t.w1), lift(t.b1)))
-        else:
-            firsts.append((lift(t.w1), lift(t.b1), lift(t.w2), lift(t.b2)))
-    tw1, tb1 = lift(params.target.w1), lift(params.target.b1)
-    tw2, tb2 = lift(params.target.w2), lift(params.target.b2)
-    target = TransformerNodes(tw1, tb1, tw2, tb2)
-    if params.tied_second:
-        sources = tuple(TransformerNodes(w1, b1, tw2, tb2) for (w1, b1) in firsts)
-    else:
-        sources = tuple(TransformerNodes(*quad) for quad in firsts)
-    return ModelNodes(sources, target, lift(params.classifier.w), lift(params.classifier.b))
+    return replace_fg(params, [lift(p) for p in fg_parameters(params)])
 
 
-def lift_discriminator(tape: Tape, model: ModelNodes, disc: DiscriminatorParams, *,
-                       trainable: bool) -> ModelNodes:
-    """`model` with the discriminator lifted onto the same tape."""
+def lift_discriminator(tape: Tape, model: ModelParams, disc: DiscriminatorParams, *,
+                       trainable: bool) -> ModelParams:
+    """`model` with `disc` lifted onto the same tape as its discriminator."""
     lift = tape.param if trainable else tape.constant
-    return replace(model, disc_w1=lift(disc.w1), disc_b1=lift(disc.b1),
-                   disc_w2=lift(disc.w2), disc_b2=lift(disc.b2))
+    return replace_d(model, [lift(p) for p in (disc.w1, disc.b1, disc.w2, disc.b2)])
 
 
 # -- forward passes -----------------------------------------------------------
 
 
-def transform(t: TransformerNodes, x: Node, slope: float) -> Node:
+def transform(t: TransformerParams, x: Node, slope: float) -> Node:
     """Two affine layers, each followed by the leaky rectifier."""
     hidden = leaky_relu(matmul_affine(x, t.w1, t.b1), slope)
     return leaky_relu(matmul_affine(hidden, t.w2, t.b2), slope)
 
 
-def classify(model: ModelNodes, emb: Node) -> Node:
-    return matmul_affine(emb, model.cls_w, model.cls_b)
+def classify(model: ModelParams, emb: Node) -> Node:
+    return matmul_affine(emb, model.classifier.w, model.classifier.b)
 
 
-def discriminate(model: ModelNodes, emb: Node) -> Node:
-    hidden = relu(matmul_affine(emb, model.disc_w1, model.disc_b1))
-    return matmul_affine(hidden, model.disc_w2, model.disc_b2)
+def discriminate(model: ModelParams, emb: Node) -> Node:
+    d = model.discriminator
+    hidden = relu(matmul_affine(emb, d.w1, d.b1))
+    return matmul_affine(hidden, d.w2, d.b2)
+
+
+def _frozen_transform(tape: Tape, t: TransformerParams, x, slope: float) -> Node:
+    lifted = TransformerParams(*(tape.constant(p) for p in (t.w1, t.b1, t.w2, t.b2)))
+    return transform(lifted, tape.constant(x), slope)
 
 
 def transform_values(t: TransformerParams, x, slope: float) -> np.ndarray:
     """Value-only forward pass through one transformer."""
-    tape = Tape()
-    nodes = TransformerNodes(*(tape.constant(p) for p in (t.w1, t.b1, t.w2, t.b2)))
-    return transform(nodes, tape.constant(x), slope).value
+    return _frozen_transform(Tape(), t, x, slope).value
 
 
 def classifier_logits(params: ModelParams, t: TransformerParams, x, slope: float) -> np.ndarray:
     """Value-only logits for samples of the domain owning transformer `t`."""
     tape = Tape()
-    model = lift_params(tape, params, train_fg=False, train_d=False)
-    nodes = TransformerNodes(*(tape.constant(p) for p in (t.w1, t.b1, t.w2, t.b2)))
-    return classify(model, transform(nodes, tape.constant(x), slope)).value
+    c = params.classifier
+    emb = _frozen_transform(tape, t, x, slope)
+    return matmul_affine(emb, tape.constant(c.w), tape.constant(c.b)).value
 
 
 def soft_labels(params: ModelParams, x_unlabeled, slope: float) -> np.ndarray:
@@ -360,7 +345,7 @@ class TaskEmbeddings:
     target_unlabeled: Node | None
 
 
-def embed_batch(model: ModelNodes, tape: Tape, batch: TaskBatch, slope: float) -> TaskEmbeddings:
+def embed_batch(model: ModelParams, tape: Tape, batch: TaskBatch, slope: float) -> TaskEmbeddings:
     sources = [
         transform(t, tape.constant(x), slope) for t, x in zip(model.sources, batch.source_x)
     ]
@@ -374,7 +359,7 @@ def embed_batch(model: ModelNodes, tape: Tape, batch: TaskBatch, slope: float) -
 # -- losses ---------------------------------------------------------------------
 
 
-def consistency_loss(tape: Tape, model: ModelNodes, norm: str = "l1") -> Node:
+def consistency_loss(tape: Tape, model: ModelParams, norm: str = "l1") -> Node:
     """Disagreement between each source's second layer and the target's.
 
     Weights and biases are concatenated per layer; `l1` sums absolute
@@ -510,7 +495,7 @@ def source_weight_nodes(deltas: Sequence[Node]) -> list[Node | float]:
 
 
 def classification_loss(
-    model: ModelNodes,
+    model: ModelParams,
     emb: TaskEmbeddings,
     batch: TaskBatch,
     weights: Sequence[Node | float],
@@ -534,8 +519,9 @@ def _classification(model, emb, batch, weights, tau) -> tuple[Node, list[Node]]:
     if tau > 0.0:
         seen: set[int] = set()
         penalty = None
-        for node in [model.cls_w] + [w for t in (*model.sources, model.target) for w in (t.w1, t.w2)]:
-            if node.index in seen:  # tied second layers count once
+        matrices = [w for t in (*model.sources, model.target) for w in (t.w1, t.w2)]
+        for node in [model.classifier.w] + matrices:
+            if node.index in seen:  # a shared second layer counts once
                 continue
             seen.add(node.index)
             penalty = sum_sq(node) if penalty is None else penalty + sum_sq(node)
@@ -544,7 +530,7 @@ def _classification(model, emb, batch, weights, tau) -> tuple[Node, list[Node]]:
 
 
 def domain_loss(
-    model: ModelNodes,
+    model: ModelParams,
     emb: TaskEmbeddings,
     weights: Sequence[Node | float],
     inverted: bool,
@@ -586,7 +572,7 @@ class EmbeddingPass:
     """
 
     tape: Tape
-    model: ModelNodes
+    model: ModelParams
     emb: TaskEmbeddings
     soft_logits: Node | None
     deltas: list[Node]
@@ -720,28 +706,23 @@ def build_transformer_objective(
 
 def build_discriminator_objective(
     params: ModelParams,
-    batch: TaskBatch,
+    embedding_values: tuple,
     weights: Sequence[float],
-    *,
-    slope: float = 0.01,
-    embedding_values: tuple | None = None,
 ) -> tuple[Tape, Node]:
     """Assemble the loss minimized over the discriminator alone.
 
-    Transformers and classifier are frozen; weights are plain constants.
-    Precomputed embedding arrays may be supplied to skip the forward pass
-    through the (frozen) transformers.
+    `embedding_values` holds the frozen embeddings as arrays: the list of
+    source embeddings, the labeled target's, and the unlabeled target's (or
+    None). Only the discriminator is lifted, as trainable leaves; the
+    embeddings and weights are constants.
     """
     tape = Tape()
-    model = lift_params(tape, params, train_fg=False, train_d=True)
-    if embedding_values is not None:
-        src_vals, lab_val, unlab_val = embedding_values
-        emb = TaskEmbeddings(
-            [tape.constant(v) for v in src_vals],
-            tape.constant(lab_val),
-            None if unlab_val is None else tape.constant(unlab_val),
-        )
-    else:
-        emb = embed_batch(model, tape, batch, slope)
+    model = lift_discriminator(tape, params, params.discriminator, trainable=True)
+    src_vals, lab_val, unlab_val = embedding_values
+    emb = TaskEmbeddings(
+        [tape.constant(v) for v in src_vals],
+        tape.constant(lab_val),
+        None if unlab_val is None else tape.constant(unlab_val),
+    )
     loss = domain_loss(model, emb, [float(w) for w in weights], inverted=False)
     return tape, loss

@@ -125,26 +125,25 @@ def _affine_init(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
 
 
 def init_params(task: MultiSourceTask, config: TrainConfig) -> ModelParams:
-    """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
+    """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero.
+
+    Under `lg_norm="tied"` the sources hold the target's second-layer
+    tensors, which is what ties them (see `ModelParams`).
+    """
     rng = np.random.default_rng(config.seed)
     tied = config.lg_norm == "tied"
     h, d_c = config.hidden, config.d_c
     firsts = [_affine_init(rng, s.dim, h) for s in task.sources]
     seconds = None if tied else [_affine_init(rng, h, d_c) for _ in task.sources]
-    tw1, tb1 = _affine_init(rng, task.target_labeled.dim, h)
-    tw2, tb2 = _affine_init(rng, h, d_c)
-    target = TransformerParams(tw1, tb1, tw2, tb2)
+    target = TransformerParams(
+        *_affine_init(rng, task.target_labeled.dim, h), *_affine_init(rng, h, d_c)
+    )
     if tied:
-        sources = tuple(TransformerParams(w1, b1, tw2, tb2) for (w1, b1) in firsts)
-    else:
-        sources = tuple(
-            TransformerParams(w1, b1, w2, b2)
-            for (w1, b1), (w2, b2) in zip(firsts, seconds)
-        )
+        seconds = [(target.w2, target.b2)] * len(firsts)
+    sources = tuple(TransformerParams(*first, *second) for first, second in zip(firsts, seconds))
     classifier = ClassifierParams(*_affine_init(rng, d_c, task.num_classes))
-    dw1, db1 = _affine_init(rng, d_c, d_c)
-    dw2, db2 = _affine_init(rng, d_c, 2)
-    return ModelParams(sources, target, classifier, DiscriminatorParams(dw1, db1, dw2, db2), tied)
+    discriminator = DiscriminatorParams(*_affine_init(rng, d_c, d_c), *_affine_init(rng, d_c, 2))
+    return ModelParams(sources, target, classifier, discriminator)
 
 
 def batch_from_task(task: MultiSourceTask) -> TaskBatch:
@@ -216,9 +215,7 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
         None if emb.target_unlabeled is None else emb.target_unlabeled.value,
     )
 
-    d_tape, d_loss = build_discriminator_objective(
-        params, batch, weights, slope=config.leaky_slope, embedding_values=emb_values
-    )
+    d_tape, d_loss = build_discriminator_objective(params, emb_values, weights)
     loss_d = float(d_loss.value)
     params = replace_d(params, opt_d.step(d_parameters(params), d_tape.backward(d_loss)))
     del d_tape, d_loss

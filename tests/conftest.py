@@ -9,6 +9,7 @@ from heteroadapt.model import (
     ModelParams,
     TaskBatch,
     TransformerParams,
+    transform_values,
 )
 from heteroadapt.numerics import Tensor
 
@@ -46,7 +47,17 @@ def make_params(rng, source_dims, target_dim, hidden=4, d_c=4, num_classes=2, ti
         Tensor(rng.uniform(-0.8, 0.8, (d_c, 2))),
         Tensor(rng.uniform(-0.2, 0.2, 2)),
     )
-    return ModelParams(sources, target, classifier, disc, tied_second=tied)
+    return ModelParams(sources, target, classifier, disc)
+
+
+def embedding_values(params, batch, slope=0.01):
+    """Every domain's embedding as arrays, in `build_discriminator_objective` form."""
+    unlabeled = batch.target_unlabeled_x
+    return (
+        [transform_values(t, x, slope) for t, x in zip(params.sources, batch.source_x)],
+        transform_values(params.target, batch.target_labeled_x, slope),
+        None if unlabeled is None else transform_values(params.target, unlabeled, slope),
+    )
 
 
 def make_toy_batch(rng, source_dims=(3, 5), target_dim=4, num_classes=2,

@@ -120,9 +120,7 @@ def three_forward_train(task, config):
         emb_values = (
             [e.value for e in emb.sources], emb.target_labeled.value, emb.target_unlabeled.value
         )
-        d_tape, d_loss = build_discriminator_objective(
-            params, batch, weights, slope=slope, embedding_values=emb_values
-        )
+        d_tape, d_loss = build_discriminator_objective(params, emb_values, weights)
         loss_d = float(d_loss.value)
         params = replace_d(params, opt_d.step(d_parameters(params), d_tape.backward(d_loss)))
 

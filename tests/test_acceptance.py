@@ -7,7 +7,7 @@ criteria. Everything is seeded; reruns are bit-identical.
 
 import numpy as np
 import pytest
-from conftest import make_params
+from conftest import embedding_values, make_params
 from oracles import naive_class_conditional_mmd
 
 from heteroadapt.cli import main as cli_main
@@ -187,9 +187,11 @@ def test_c04_gradient_correctness():
     err_fg = grad_check(fg_loss, fg_parameters(params))
     assert err_fg < 1e-4, f"transformer objective gradient error {err_fg}"
 
+    emb_values = embedding_values(params, batch)
+
     def d_loss(tensors):
         rebuilt = replace_d(params, tensors)
-        _, loss = build_discriminator_objective(rebuilt, batch, [0.6, 0.8])
+        _, loss = build_discriminator_objective(rebuilt, emb_values, [0.6, 0.8])
         return loss
 
     err_d = grad_check(d_loss, d_parameters(params))

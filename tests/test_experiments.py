@@ -103,6 +103,18 @@ class TestBaselines:
         assert run_baseline_nnt(rewired, config, seeds=(0, 1)).accuracies == with_sources.accuracies
         assert run_baseline_nnt(stripped, config, seeds=(0, 1)).accuracies == with_sources.accuracies
 
+    def test_nnt_under_tied_config_matches_l1(self):
+        # NNt strips the sources, so nothing is left to tie and the RNG draws
+        # are those of any other lg_norm; NNst keeps its sources and refuses
+        from dataclasses import replace
+
+        config = tiny_config(iterations=15)
+        task = tiny_task()
+        tied = run_baseline_nnt(task, replace(config, lg_norm="tied"), seeds=(0, 1))
+        assert tied.accuracies == run_baseline_nnt(task, config, seeds=(0, 1)).accuracies
+        with pytest.raises(ConfigError, match="tied"):
+            run_baseline_nnst(task, replace(config, lg_norm="tied"), seeds=(0,))
+
     def test_nnt_perfect_on_degenerate_task(self):
         task = tiny_task(spread=1e-9, noise=0.0, target_unlabeled=30)
         summary = run_baseline_nnt(task, tiny_config(iterations=150), seeds=(0,))

@@ -1,10 +1,11 @@
 """Architecture forward passes, losses, divergence, and source weighting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_params, make_toy_batch
+from conftest import embedding_values, make_params, make_toy_batch
 from oracles import naive_class_conditional_mmd, naive_source_weights
 
 from heteroadapt.errors import ConfigError, ShapeError
@@ -24,6 +25,7 @@ from heteroadapt.model import (
     domain_loss,
     embed_batch,
     fg_parameters,
+    lift_fg,
     lift_params,
     replace_d,
     replace_fg,
@@ -151,6 +153,52 @@ class TestParamPlumbing:
         tied = make_params(rng, (3, 5), 4, tied=True)
         rebuilt = replace_fg(tied, fg_parameters(tied))
         assert rebuilt.sources[0].w2 is rebuilt.target.w2
+
+    @pytest.mark.parametrize("kind", ["untied", "tied", "no sources"])
+    def test_flat_order_round_trips_and_lifts_in_order(self, kind):
+        dims = () if kind == "no sources" else (3, 5)
+        params = make_params(np.random.default_rng(4), dims, 4, tied=kind == "tied")
+        assert params.tied_second == (kind == "tied")
+        flat = fg_parameters(params)
+        rebuilt = replace_fg(params, flat)
+        assert rebuilt.tied_second == params.tied_second
+        assert len(fg_parameters(rebuilt)) == len(flat)
+        assert all(a is b for a, b in zip(fg_parameters(rebuilt), flat))
+
+        # trainable leaves hold the flat values in order, so backward's
+        # gradient list lines up with the Adam slots
+        tape = Tape()
+        lifted = lift_fg(tape, params, trainable=True)
+        assert lifted.tied_second == params.tied_second
+        leaves = fg_parameters(lifted)
+        total = tape.constant(0.0)
+        for i, (leaf, p) in enumerate(zip(leaves, flat, strict=True)):
+            np.testing.assert_array_equal(leaf.value, p.array)
+            total = total + (i + 1.0) * sum_sq(leaf)
+        grads = tape.backward(total)
+        assert len(grads) == len(flat)
+        for i, (g, p) in enumerate(zip(grads, flat)):
+            np.testing.assert_allclose(g.array, 2.0 * (i + 1.0) * p.array, rtol=1e-15)
+
+    @pytest.mark.parametrize("case, culprit", [
+        ("tied, source 1 unshared", 1),
+        ("tied, source 1 shares w2 only", 1),
+        ("untied, source 1 shares both", 1),
+        ("source 0 shares b2 only", 0),
+    ])
+    def test_partial_sharing_rejected(self, case, culprit):
+        rng = np.random.default_rng(6)
+        params = make_params(rng, (3, 5), 4, tied=case.startswith("tied"))
+        (s0, s1), t = params.sources, params.target
+        own_w2, own_b2 = Tensor(t.w2.array.copy()), Tensor(t.b2.array.copy())
+        sources = {
+            "tied, source 1 unshared": lambda: (s0, replace(s1, w2=own_w2, b2=own_b2)),
+            "tied, source 1 shares w2 only": lambda: (s0, replace(s1, b2=own_b2)),
+            "untied, source 1 shares both": lambda: (s0, replace(s1, w2=t.w2, b2=t.b2)),
+            "source 0 shares b2 only": lambda: (replace(s0, b2=t.b2), s1),
+        }[case]()
+        with pytest.raises(ShapeError, match=f"source {culprit} holds"):
+            ModelParams(sources, t, params.classifier, params.discriminator)
 
     def test_second_layer_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
@@ -574,10 +622,11 @@ class TestObjectives:
     def test_discriminator_gradients(self, toy_setup):
         params, batch = toy_setup
         weights = [0.7, 0.9]
+        emb_values = embedding_values(params, batch)
 
         def fn(tensors):
             rebuilt = replace_d(params, tensors)
-            tape, loss = build_discriminator_objective(rebuilt, batch, weights)
+            tape, loss = build_discriminator_objective(rebuilt, emb_values, weights)
             return loss
 
         assert grad_check(fn, d_parameters(params)) < 1e-4
