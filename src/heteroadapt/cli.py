@@ -117,6 +117,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> TrainConfig:
+    if args.iters < 1:  # a run without iterations has no trace to write
+        raise ConfigError(f"--iters must be at least 1, got {args.iters}")
     config = TrainConfig(
         beta=args.beta,
         tau=args.tau,

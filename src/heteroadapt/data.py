@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ShapeError
 from .numerics import Tensor
 
 
@@ -95,6 +95,9 @@ class MultiSourceTask:
                 raise ConfigError(
                     f"source {k} ({s.name!r}) has no samples of class {int(counts.argmin())}"
                 )
+        if target_unlabeled.dim != target_labeled.dim:
+            raise ShapeError(f"target halves differ in width: {target_labeled.name!r} has "
+                             f"{target_labeled.dim}, {target_unlabeled.name!r} has {target_unlabeled.dim}")
         if target_labeled.labels is None:
             raise ConfigError("target labeled split must carry labels")
         if target_labeled.class_counts().min() < 1:

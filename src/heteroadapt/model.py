@@ -11,11 +11,12 @@ through an averaged sigmoid so weights stay inside [0.5, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .data import MultiSourceTask
 from .errors import ConfigError, ShapeError
 from .numerics import (
     Node,
@@ -282,7 +283,7 @@ def soft_labels(params: ModelParams, x_unlabeled, slope: float) -> np.ndarray:
     return softmax_values(classifier_logits(params, params.target, x_unlabeled, slope))
 
 
-# -- task batches --------------------------------------------------------------
+# -- embedding a task -----------------------------------------------------------
 
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -291,69 +292,21 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TaskBatch:
-    """Raw tensors plus cached encodings for one full-batch training task."""
-
-    source_x: tuple[Tensor, ...]
-    source_labels: tuple[np.ndarray, ...]
-    target_labeled_x: Tensor
-    target_labeled_labels: np.ndarray
-    target_unlabeled_x: Tensor | None
-    num_classes: int
-    source_onehot: tuple[np.ndarray, ...] = field(init=False)
-    target_onehot: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        for labels, x in zip(self.source_labels, self.source_x, strict=True):
-            _check_labels(labels, x.shape[0], self.num_classes)
-        _check_labels(self.target_labeled_labels, self.target_labeled_x.shape[0], self.num_classes)
-        object.__setattr__(
-            self,
-            "source_onehot",
-            tuple(_one_hot(y, self.num_classes) for y in self.source_labels),
-        )
-        object.__setattr__(
-            self, "target_onehot", _one_hot(self.target_labeled_labels, self.num_classes)
-        )
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.source_x)
-
-    @property
-    def n_l(self) -> int:
-        return self.target_labeled_x.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return 0 if self.target_unlabeled_x is None else self.target_unlabeled_x.shape[0]
-
-
-def _check_labels(labels: np.ndarray, n: int, num_classes: int) -> None:
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not cover {n} samples")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ConfigError(f"labels must lie in [0, {num_classes})")
-
-
 @dataclass
 class TaskEmbeddings:
     sources: list[Node]
     target_labeled: Node
-    target_unlabeled: Node | None
+    target_unlabeled: Node
 
 
-def embed_batch(model: ModelParams, tape: Tape, batch: TaskBatch, slope: float) -> TaskEmbeddings:
-    sources = [
-        transform(t, tape.constant(x), slope) for t, x in zip(model.sources, batch.source_x)
-    ]
-    target_labeled = transform(model.target, tape.constant(batch.target_labeled_x), slope)
-    target_unlabeled = None
-    if batch.target_unlabeled_x is not None:
-        target_unlabeled = transform(model.target, tape.constant(batch.target_unlabeled_x), slope)
-    return TaskEmbeddings(sources, target_labeled, target_unlabeled)
+def embed_task(model: ModelParams, tape: Tape, task: MultiSourceTask,
+               slope: float) -> TaskEmbeddings:
+    """Every domain of `task` through its transformer: sources in order,
+    then the labeled and the unlabeled target."""
+    pairs = [*zip(model.sources, task.sources),
+             (model.target, task.target_labeled), (model.target, task.target_unlabeled)]
+    *sources, labeled, unlabeled = [transform(t, tape.constant(d.features), slope) for t, d in pairs]
+    return TaskEmbeddings(sources, labeled, unlabeled)
 
 
 # -- losses ---------------------------------------------------------------------
@@ -497,25 +450,28 @@ def source_weight_nodes(deltas: Sequence[Node]) -> list[Node | float]:
 def classification_loss(
     model: ModelParams,
     emb: TaskEmbeddings,
-    batch: TaskBatch,
+    task: MultiSourceTask,
     weights: Sequence[Node | float],
     tau: float,
 ) -> Node:
     """Weighted source cross-entropy, labeled-target cross-entropy, and an
     optional squared penalty on classifier/transformer weight matrices
     (biases and the discriminator are never regularized)."""
-    return _classification(model, emb, batch, weights, tau)[0]
+    return _classification(model, emb, task, weights, tau)[0]
 
 
-def _classification(model, emb, batch, weights, tau) -> tuple[Node, list[Node]]:
+def _classification(model, emb, task, weights, tau) -> tuple[Node, list[Node]]:
     """`classification_loss` plus the per-source logit nodes it builds."""
-    target_ce = softmax_cross_entropy(classify(model, emb.target_labeled), batch.target_onehot)
+    num_classes = task.num_classes
+    target_ce = softmax_cross_entropy(
+        classify(model, emb.target_labeled), _one_hot(task.target_labeled.labels, num_classes)
+    )
     total = target_ce
     source_logits = []
-    for w_k, emb_k, onehot_k in zip(weights, emb.sources, batch.source_onehot):
+    for w_k, emb_k, source in zip(weights, emb.sources, task.sources):
         logits = classify(model, emb_k)
         source_logits.append(logits)
-        total = total + w_k * softmax_cross_entropy(logits, onehot_k)
+        total = total + w_k * softmax_cross_entropy(logits, _one_hot(source.labels, num_classes))
     if tau > 0.0:
         seen: set[int] = set()
         penalty = None
@@ -539,18 +495,15 @@ def domain_loss(
     one-hot domain labels, averaged per domain; source terms are weighted,
     the target term covers labeled and unlabeled samples together."""
     n_l = emb.target_labeled.shape[0]
-    n_u = 0 if emb.target_unlabeled is None else emb.target_unlabeled.shape[0]
+    n_u = emb.target_unlabeled.shape[0]
     n_t = n_l + n_u
     se_l = squared_error(
         discriminate(model, emb.target_labeled), domain_label_rows(n_l, True, inverted)
     )
-    if emb.target_unlabeled is None:
-        total = se_l
-    else:
-        se_u = squared_error(
-            discriminate(model, emb.target_unlabeled), domain_label_rows(n_u, True, inverted)
-        )
-        total = se_l * (n_l / n_t) + se_u * (n_u / n_t)
+    se_u = squared_error(
+        discriminate(model, emb.target_unlabeled), domain_label_rows(n_u, True, inverted)
+    )
+    total = se_l * (n_l / n_t) + se_u * (n_u / n_t)
     for w_k, emb_k in zip(weights, emb.sources):
         n_k = emb_k.shape[0]
         se_k = squared_error(discriminate(model, emb_k), domain_label_rows(n_k, False, inverted))
@@ -599,32 +552,33 @@ class TransformerObjective:
 
 
 def divergence_nodes(
-    emb: TaskEmbeddings, batch: TaskBatch, soft: np.ndarray | None
+    emb: TaskEmbeddings, task: MultiSourceTask, soft: np.ndarray
 ) -> list[Node]:
     return [
         class_conditional_mmd(
             emb_k,
-            labels_k,
+            source.labels,
             emb.target_labeled,
-            batch.target_labeled_labels,
-            batch.num_classes,
+            task.target_labeled.labels,
+            task.num_classes,
             emb.target_unlabeled,
             soft,
             domain=k,
         )
-        for k, (emb_k, labels_k) in enumerate(zip(emb.sources, batch.source_labels))
+        for k, (emb_k, source) in enumerate(zip(emb.sources, task.sources))
     ]
 
 
 def embedding_pass(
     params: ModelParams,
-    batch: TaskBatch,
+    task: MultiSourceTask,
     *,
     weighting: str = "conditional",
     slope: float = 0.01,
     soft: np.ndarray | None = None,
 ) -> EmbeddingPass:
-    """Embed every domain once and build the weighting on the same tape.
+    """Embed every domain of `task` once and build the weighting on the
+    same tape.
 
     Without supplied soft labels they come from classifying the unlabeled
     target embedding; those logits are kept for evaluation. Divergences are
@@ -639,21 +593,21 @@ def embedding_pass(
         raise ConfigError(f"weighting must be 'conditional' or 'ones', got {weighting!r}")
     tape = Tape()
     model = lift_fg(tape, params, trainable=True)
-    emb = embed_batch(model, tape, batch, slope)
+    emb = embed_task(model, tape, task, slope)
     soft_logits = None
-    if soft is None and emb.target_unlabeled is not None:
+    if soft is None:
         soft_logits = classify(model, emb.target_unlabeled)
         soft = softmax_values(soft_logits.value)
-    deltas = divergence_nodes(emb, batch, soft)
-    conditional = weighting == "conditional" and batch.num_sources >= 2
-    weights = source_weight_nodes(deltas) if conditional else [1.0] * batch.num_sources
+    deltas = divergence_nodes(emb, task, soft)
+    conditional = weighting == "conditional" and task.num_sources >= 2
+    weights = source_weight_nodes(deltas) if conditional else [1.0] * task.num_sources
     return EmbeddingPass(tape, model, emb, soft_logits, deltas, weights, conditional)
 
 
 def transformer_objective(
     fwd: EmbeddingPass,
     discriminator: DiscriminatorParams,
-    batch: TaskBatch,
+    task: MultiSourceTask,
     *,
     beta: float,
     tau: float,
@@ -669,9 +623,9 @@ def transformer_objective(
         raise ConfigError(f"lg_norm must be one of l1/l2/off/tied, got {lg_norm!r}")
     tape, emb, weights = fwd.tape, fwd.emb, fwd.weights
     model = lift_discriminator(tape, fwd.model, discriminator, trainable=False)
-    cls, source_logits = _classification(model, emb, batch, weights, tau)
+    cls, source_logits = _classification(model, emb, task, weights, tau)
     cons = None
-    if lg_norm in ("l1", "l2") and batch.num_sources >= 1:
+    if lg_norm in ("l1", "l2") and task.num_sources >= 1:
         cons = consistency_loss(tape, model, lg_norm)
     inv = domain_loss(model, emb, weights, inverted=True)
 
@@ -686,7 +640,7 @@ def transformer_objective(
 
 def build_transformer_objective(
     params: ModelParams,
-    batch: TaskBatch,
+    task: MultiSourceTask,
     *,
     beta: float,
     tau: float,
@@ -698,9 +652,9 @@ def build_transformer_objective(
     """`embedding_pass` then `transformer_objective` with `params`' own
     discriminator. Soft labels are constants; when not supplied they come
     from `params` on the same tape."""
-    fwd = embedding_pass(params, batch, weighting=weighting, slope=slope, soft=soft)
+    fwd = embedding_pass(params, task, weighting=weighting, slope=slope, soft=soft)
     return transformer_objective(
-        fwd, params.discriminator, batch, beta=beta, tau=tau, lg_norm=lg_norm
+        fwd, params.discriminator, task, beta=beta, tau=tau, lg_norm=lg_norm
     )
 
 
@@ -712,17 +666,16 @@ def build_discriminator_objective(
     """Assemble the loss minimized over the discriminator alone.
 
     `embedding_values` holds the frozen embeddings as arrays: the list of
-    source embeddings, the labeled target's, and the unlabeled target's (or
-    None). Only the discriminator is lifted, as trainable leaves; the
-    embeddings and weights are constants.
+    source embeddings, the labeled target's, and the unlabeled target's.
+    Only the discriminator is lifted, as trainable leaves; the embeddings
+    and weights are constants (read-only arrays, such as another tape's
+    node values, are aliased rather than copied).
     """
     tape = Tape()
     model = lift_discriminator(tape, params, params.discriminator, trainable=True)
     src_vals, lab_val, unlab_val = embedding_values
     emb = TaskEmbeddings(
-        [tape.constant(v) for v in src_vals],
-        tape.constant(lab_val),
-        None if unlab_val is None else tape.constant(unlab_val),
+        [tape.constant(v) for v in src_vals], tape.constant(lab_val), tape.constant(unlab_val)
     )
     loss = domain_loss(model, emb, [float(w) for w in weights], inverted=False)
     return tape, loss

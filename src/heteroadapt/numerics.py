@@ -57,6 +57,15 @@ def _as_array(values) -> Array:
     return np.asarray(values, dtype=np.float64)
 
 
+def _frozen(arr: Array) -> bool:
+    """Whether no handle can write `arr`: it and every array it views are read-only."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 class Node:
     """Handle to one tape entry. `value` is a read-only float64 ndarray."""
 
@@ -122,6 +131,7 @@ class Tape:
 
     def append(self, op, value, parents=(), vjps=(), needs_grad=None) -> Node:
         value = np.asarray(value, dtype=np.float64)
+        value.setflags(write=False)
         if needs_grad is None:
             needs_grad = any(self._needs_grad[p] for p in parents)
         self._ops.append(op)
@@ -140,9 +150,13 @@ class Tape:
         return node
 
     def constant(self, values) -> Node:
-        """A non-trainable leaf (data, labels, frozen parameters)."""
+        """A non-trainable leaf (data, labels, frozen parameters). Tensor data
+        and read-only float64 arrays, such as node values, are aliased;
+        writeable input is copied, so later writes do not reach the tape."""
         if isinstance(values, Tensor):
-            arr = values.array  # already immutable, safe to alias
+            arr = values.array
+        elif isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values):
+            arr = values
         else:
             arr = np.array(values, dtype=np.float64)
         return self.append("const", arr, needs_grad=False)

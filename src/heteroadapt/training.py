@@ -36,12 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiSourceTask
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .model import (
     ClassifierParams,
     DiscriminatorParams,
     ModelParams,
-    TaskBatch,
     TransformerParams,
     build_discriminator_objective,
     classifier_logits,
@@ -146,17 +145,6 @@ def init_params(task: MultiSourceTask, config: TrainConfig) -> ModelParams:
     return ModelParams(sources, target, classifier, discriminator)
 
 
-def batch_from_task(task: MultiSourceTask) -> TaskBatch:
-    return TaskBatch(
-        tuple(s.features for s in task.sources),
-        tuple(s.labels for s in task.sources),
-        task.target_labeled.features,
-        task.target_labeled.labels,
-        task.target_unlabeled.features,
-        task.num_classes,
-    )
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -195,24 +183,22 @@ def _accuracies(params: ModelParams, task: MultiSourceTask, slope: float):
 
 
 def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
-               batch: TaskBatch, config: TrainConfig, eval_labels: np.ndarray):
-    """One alternation on one tape: discriminator step, then
+               task: MultiSourceTask, config: TrainConfig):
+    """One alternation on one tape over `task`: discriminator step, then
     transformer/classifier step (order in the module docstring).
 
     Returns the updated parameters, the loss/weighting scalars recorded for
     the trace, and the (source, target) accuracies of the parameters the
     step *started from*, read off its forward: per-source accuracy from the
     classification-loss logits, target accuracy on the unlabeled split
-    against `eval_labels` from the soft-label logits.
+    against `task.eval_labels` from the soft-label logits.
     """
-    fwd = embedding_pass(params, batch, weighting=config.weighting, slope=config.leaky_slope)
+    fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
     deltas = tuple(float(d.value) for d in fwd.deltas)
     weights = tuple(float(w.value) if isinstance(w, Node) else w for w in fwd.weights)
     emb = fwd.emb
     emb_values = (
-        [e.value for e in emb.sources],
-        emb.target_labeled.value,
-        None if emb.target_unlabeled is None else emb.target_unlabeled.value,
+        [e.value for e in emb.sources], emb.target_labeled.value, emb.target_unlabeled.value
     )
 
     d_tape, d_loss = build_discriminator_objective(params, emb_values, weights)
@@ -221,16 +207,16 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     del d_tape, d_loss
 
     obj = transformer_objective(
-        fwd, params.discriminator, batch,
+        fwd, params.discriminator, task,
         beta=config.beta, tau=config.tau, lg_norm=config.lg_norm,
     )
     fg_grads = obj.tape.backward(obj.objective)
     params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
 
     source_acc = tuple(
-        _hit_rate(z.value, y) for z, y in zip(obj.source_logits, batch.source_labels)
+        _hit_rate(z.value, s.labels) for z, s in zip(obj.source_logits, task.sources)
     )
-    target_acc = _hit_rate(fwd.soft_logits.value, eval_labels)
+    target_acc = _hit_rate(fwd.soft_logits.value, task.eval_labels)
     loss_fg = float(obj.classification.value)
     loss_lg = 0.0 if obj.consistency is None else float(obj.consistency.value)
     loss_dg_inv = float(obj.inverted_domain.value)
@@ -241,11 +227,21 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
 # -- full runs ----------------------------------------------------------------------
 
 
-def validate_task(task: MultiSourceTask, require_sources: bool = True) -> None:
-    if require_sources and task.num_sources < 1:
+def validate_task(task: MultiSourceTask, params: ModelParams) -> None:
+    """Reject a task training cannot run on, and parameters whose source
+    count, per-domain input widths or class count differ from the task's."""
+    if task.num_sources < 1:
         raise ConfigError("training needs at least one source domain")
     if task.eval_labels is None:
         raise ConfigError("target unlabeled split carries no held-out labels to evaluate")
+    fit = [("source transformers", params.num_sources, task.num_sources)]
+    fit += [(f"source {k} input width", t.d_in, s.dim)
+            for k, (t, s) in enumerate(zip(params.sources, task.sources))]
+    fit += [("target input width", params.target.d_in, task.target_labeled.dim),
+            ("classifier classes", params.classifier.w.shape[1], task.num_classes)]
+    for what, have, need in fit:
+        if have != need:
+            raise ShapeError(f"parameters do not fit the task: {what} {have}, task has {need}")
 
 
 def train(task: MultiSourceTask, config: TrainConfig,
@@ -259,17 +255,16 @@ def train(task: MultiSourceTask, config: TrainConfig,
     traces.
     """
     config.validate()
-    validate_task(task)
-    batch = batch_from_task(task)
     if params is None:
         params = init_params(task, config)
+    validate_task(task, params)
     opt_fg = Adam(fg_parameters(params), config.lr_fg)
     opt_d = Adam(d_parameters(params), config.lr_d)
     trace = TrainTrace()
     pending = None  # the previous step's record fields, awaiting its accuracies
     for it in range(config.iterations):
         params, losses, deltas, weights, accuracy = train_step(
-            params, opt_fg, opt_d, batch, config, task.eval_labels
+            params, opt_fg, opt_d, task, config
         )
         if pending is not None:
             trace.records.append(IterationRecord(it - 1, *pending, *accuracy))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from heteroadapt.data import DomainData, MultiSourceTask
 from heteroadapt.model import (
     ClassifierParams,
     DiscriminatorParams,
     ModelParams,
-    TaskBatch,
     TransformerParams,
     transform_values,
 )
@@ -50,36 +50,42 @@ def make_params(rng, source_dims, target_dim, hidden=4, d_c=4, num_classes=2, ti
     return ModelParams(sources, target, classifier, disc)
 
 
-def embedding_values(params, batch, slope=0.01):
+def embedding_values(params, task, slope=0.01):
     """Every domain's embedding as arrays, in `build_discriminator_objective` form."""
-    unlabeled = batch.target_unlabeled_x
     return (
-        [transform_values(t, x, slope) for t, x in zip(params.sources, batch.source_x)],
-        transform_values(params.target, batch.target_labeled_x, slope),
-        None if unlabeled is None else transform_values(params.target, unlabeled, slope),
+        [transform_values(t, s.features, slope) for t, s in zip(params.sources, task.sources)],
+        transform_values(params.target, task.target_labeled.features, slope),
+        transform_values(params.target, task.target_unlabeled.features, slope),
     )
 
 
-def make_toy_batch(rng, source_dims=(3, 5), target_dim=4, num_classes=2,
-                   per_source=4, labeled=2, unlabeled=3):
+def make_task(source_x, source_y, labeled_x, labeled_y, unlabeled_x, num_classes):
+    """A `MultiSourceTask` from raw arrays; the unlabeled split has no labels."""
+    sources = [DomainData(f"source_{k}", Tensor(x), y, num_classes)
+               for k, (x, y) in enumerate(zip(source_x, source_y))]
+    return MultiSourceTask.build(
+        sources,
+        DomainData("target_labeled", Tensor(labeled_x), labeled_y, num_classes),
+        DomainData("target_unlabeled", Tensor(unlabeled_x), None, num_classes),
+    )
+
+
+def make_toy_task(rng, source_dims=(3, 5), target_dim=4, num_classes=2,
+                  per_source=4, labeled=2, unlabeled=3):
     """A tiny two-source task; every domain covers every class."""
     source_x, source_y = [], []
     for d in source_dims:
-        x = rng.uniform(-1.5, 1.5, (per_source, d))
-        y = np.arange(per_source) % num_classes
-        source_x.append(Tensor(x))
-        source_y.append(y)
-    lab_x = Tensor(rng.uniform(-1.5, 1.5, (labeled, target_dim)))
+        source_x.append(rng.uniform(-1.5, 1.5, (per_source, d)))
+        source_y.append(np.arange(per_source) % num_classes)
+    lab_x = rng.uniform(-1.5, 1.5, (labeled, target_dim))
     lab_y = np.arange(labeled) % num_classes
-    unlab_x = Tensor(rng.uniform(-1.5, 1.5, (unlabeled, target_dim))) if unlabeled else None
-    return TaskBatch(
-        tuple(source_x), tuple(source_y), lab_x, lab_y, unlab_x, num_classes
-    )
+    unlab_x = rng.uniform(-1.5, 1.5, (unlabeled, target_dim))
+    return make_task(source_x, source_y, lab_x, lab_y, unlab_x, num_classes)
 
 
 @pytest.fixture
 def toy_setup():
     rng = np.random.default_rng(42)
-    batch = make_toy_batch(rng)
+    task = make_toy_task(rng)
     params = make_params(rng, (3, 5), 4)
-    return params, batch
+    return params, task

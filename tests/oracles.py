@@ -83,7 +83,7 @@ def three_forward_train(task, config):
         d_parameters,
         divergence_nodes,
         domain_loss,
-        embed_batch,
+        embed_task,
         fg_parameters,
         lift_params,
         replace_d,
@@ -94,14 +94,12 @@ def three_forward_train(task, config):
     from heteroadapt.numerics import Adam, Tape, softmax_values
     from heteroadapt.training import (
         IterationRecord,
-        batch_from_task,
         evaluate_accuracy,
         init_params,
     )
 
     slope = config.leaky_slope
     conditional = config.weighting == "conditional"
-    batch = batch_from_task(task)
     params = init_params(task, config)
     opt_fg = Adam(fg_parameters(params), config.lr_fg)
     opt_d = Adam(d_parameters(params), config.lr_d)
@@ -110,13 +108,13 @@ def three_forward_train(task, config):
         # forward 1: the weighting pass on a constant tape
         tape = Tape()
         model = lift_params(tape, params, train_fg=False, train_d=False)
-        emb = embed_batch(model, tape, batch, slope)
+        emb = embed_task(model, tape, task, slope)
         soft = softmax_values(classify(model, emb.target_unlabeled).value)
-        deltas = np.array([float(d.value) for d in divergence_nodes(emb, batch, soft)])
+        deltas = np.array([float(d.value) for d in divergence_nodes(emb, task, soft)])
         if conditional:
             weights = np.array(source_weights(deltas).weights)
         else:
-            weights = np.ones(batch.num_sources)
+            weights = np.ones(task.num_sources)
         emb_values = (
             [e.value for e in emb.sources], emb.target_labeled.value, emb.target_unlabeled.value
         )
@@ -127,11 +125,11 @@ def three_forward_train(task, config):
         # forward 2: the transformer objective on its own tape
         tape = Tape()
         model = lift_params(tape, params, train_fg=True, train_d=False)
-        emb = embed_batch(model, tape, batch, slope)
-        live = [1.0] * batch.num_sources
-        if conditional and batch.num_sources >= 2:
-            live = source_weight_nodes(divergence_nodes(emb, batch, soft))
-        cls = classification_loss(model, emb, batch, live, config.tau)
+        emb = embed_task(model, tape, task, slope)
+        live = [1.0] * task.num_sources
+        if conditional and task.num_sources >= 2:
+            live = source_weight_nodes(divergence_nodes(emb, task, soft))
+        cls = classification_loss(model, emb, task, live, config.tau)
         cons = None
         if config.lg_norm in ("l1", "l2"):
             cons = consistency_loss(tape, model, config.lg_norm)

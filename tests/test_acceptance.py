@@ -7,7 +7,7 @@ criteria. Everything is seeded; reruns are bit-identical.
 
 import numpy as np
 import pytest
-from conftest import embedding_values, make_params
+from conftest import embedding_values, make_params, make_task
 from oracles import naive_class_conditional_mmd
 
 from heteroadapt.cli import main as cli_main
@@ -19,7 +19,6 @@ from heteroadapt.experiments import (
     run_source_sweep,
 )
 from heteroadapt.model import (
-    TaskBatch,
     build_discriminator_objective,
     build_transformer_objective,
     class_conditional_mmd,
@@ -30,7 +29,7 @@ from heteroadapt.model import (
     soft_labels,
     source_weights,
 )
-from heteroadapt.numerics import Tape, Tensor, grad_check
+from heteroadapt.numerics import Tape, grad_check
 from heteroadapt.training import TrainConfig, init_params, train
 
 NOISE_SEEDS = tuple(range(10))
@@ -159,27 +158,27 @@ def test_c03_divergence_oracle():
 def _gradcheck_setup():
     rng = np.random.default_rng(123)
     # 12 samples total: 4 per source, 2 labeled target, 2 unlabeled target
-    source_x = [Tensor(rng.uniform(-1.5, 1.5, (4, d))) for d in (3, 5)]
+    source_x = [rng.uniform(-1.5, 1.5, (4, d)) for d in (3, 5)]
     source_y = [np.array([0, 1, 0, 1]), np.array([1, 0, 1, 0])]
-    batch = TaskBatch(
-        tuple(source_x), tuple(source_y),
-        Tensor(rng.uniform(-1.5, 1.5, (2, 4))), np.array([0, 1]),
-        Tensor(rng.uniform(-1.5, 1.5, (2, 4))), 2,
+    task = make_task(
+        source_x, source_y,
+        rng.uniform(-1.5, 1.5, (2, 4)), np.array([0, 1]),
+        rng.uniform(-1.5, 1.5, (2, 4)), 2,
     )
     params = make_params(rng, (3, 5), 4, hidden=4, d_c=4, num_classes=2)
-    return params, batch
+    return params, task
 
 
 def test_c04_gradient_correctness():
     """Analytic gradients of both objectives match central differences,
     including the paths through the divergences and weights."""
-    params, batch = _gradcheck_setup()
-    soft = soft_labels(params, batch.target_unlabeled_x, 0.01)
+    params, task = _gradcheck_setup()
+    soft = soft_labels(params, task.target_unlabeled.features, 0.01)
 
     def fg_loss(tensors):
         rebuilt = replace_fg(params, tensors)
         obj = build_transformer_objective(
-            rebuilt, batch, beta=0.03, tau=0.004,
+            rebuilt, task, beta=0.03, tau=0.004,
             lg_norm="l1", weighting="conditional", soft=soft,
         )
         return obj.objective
@@ -187,7 +186,7 @@ def test_c04_gradient_correctness():
     err_fg = grad_check(fg_loss, fg_parameters(params))
     assert err_fg < 1e-4, f"transformer objective gradient error {err_fg}"
 
-    emb_values = embedding_values(params, batch)
+    emb_values = embedding_values(params, task)
 
     def d_loss(tensors):
         rebuilt = replace_d(params, tensors)

@@ -171,6 +171,15 @@ class TestTrain:
         assert code != 0
         assert err.startswith("error:") and "classes" in err
 
+    def test_zero_iterations_rejected_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth_tiny(data, capsys)
+        args = self._train_args(data, tmp_path / "run", extra=["--iters", "0"])
+        code, _, err = run_cli(args, capsys)
+        assert code != 0
+        assert err.startswith("error:") and "--iters" in err
+        assert not (tmp_path / "run" / "trace.csv").exists()
+
     def test_embeddings_export(self, tmp_path, capsys):
         data = tmp_path / "data"
         synth_tiny(data, capsys)

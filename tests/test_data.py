@@ -16,7 +16,7 @@ from heteroadapt.data import (
     synthesize,
     synthetic_task,
 )
-from heteroadapt.errors import ConfigError, ParseError
+from heteroadapt.errors import ConfigError, ParseError, ShapeError
 from heteroadapt.numerics import Tensor
 
 
@@ -81,6 +81,17 @@ class TestTaskAssembly:
         )
         with pytest.raises(ConfigError, match="class 0"):
             MultiSourceTask.build((partial,), labeled, unlabeled)
+
+    def test_target_width_mismatch_rejected(self):
+        spec = small_spec()
+        bundle = synthesize(spec)
+        labeled, unlabeled = split_target(bundle.target, 3, 0)
+        narrow = DomainData(
+            "narrow", Tensor(unlabeled.features.array[:, :-1]), unlabeled.labels, spec.classes
+        )
+        want = f"'{labeled.name}' has 16, 'narrow' has 15"
+        with pytest.raises(ShapeError, match=want):
+            MultiSourceTask.build(bundle.sources, labeled, narrow)
 
 
 class TestSyntheticGeneration:

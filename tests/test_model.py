@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import embedding_values, make_params, make_toy_batch
+from conftest import embedding_values, make_params, make_task, make_toy_task
 from oracles import naive_class_conditional_mmd, naive_source_weights
 
 from heteroadapt.errors import ConfigError, ShapeError
@@ -13,7 +13,6 @@ from heteroadapt.model import (
     ClassifierParams,
     DiscriminatorParams,
     ModelParams,
-    TaskBatch,
     TransformerParams,
     build_discriminator_objective,
     build_transformer_objective,
@@ -23,7 +22,7 @@ from heteroadapt.model import (
     d_parameters,
     discriminate,
     domain_loss,
-    embed_batch,
+    embed_task,
     fg_parameters,
     lift_fg,
     lift_params,
@@ -39,6 +38,11 @@ from heteroadapt.numerics import Tape, Tensor, grad_check, sum_sq
 
 ID1 = Tensor([[1.0]])
 ZERO1 = Tensor([0.0])
+
+
+def onehots(domains):
+    """One one-hot label matrix per labeled domain."""
+    return [np.eye(d.num_classes)[d.labels] for d in domains]
 
 
 def identity_transformer():
@@ -441,7 +445,7 @@ class TestDomainLabels:
 
 
 class TestDomainLoss:
-    def _setup(self, unlabeled):
+    def _setup(self):
         # transformers pass non-negative 1-d inputs through unchanged;
         # discriminator maps embedding h to [1 - h, h]
         disc = DiscriminatorParams(
@@ -453,34 +457,34 @@ class TestDomainLoss:
             ClassifierParams(Tensor([[1.0, -1.0]]), Tensor([0.0, 0.0])),
             disc,
         )
-        batch = TaskBatch(
-            (Tensor([[0.0], [0.0]]), Tensor([[0.0], [0.0]])),
+        task = make_task(
+            ([[0.0], [0.0]], [[0.0], [0.0]]),
             (np.array([0, 1]), np.array([0, 1])),
-            Tensor([[1.0], [1.0]]),
+            [[1.0], [1.0]],
             np.array([0, 1]),
-            Tensor([[1.0]] * unlabeled) if unlabeled else None,
+            [[1.0]] * 3,
             2,
         )
         tape = Tape()
         model = lift_params(tape, params, train_fg=False, train_d=False)
-        emb = embed_batch(model, tape, batch, 0.01)
+        emb = embed_task(model, tape, task, 0.01)
         return model, emb
 
     def test_perfect_discriminator_gives_zero(self):
-        model, emb = self._setup(unlabeled=3)
+        model, emb = self._setup()
         loss = domain_loss(model, emb, [1.0, 1.0], inverted=False)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-15)
 
     def test_inverted_labels_hand_value(self):
         # every row contributes |[1,0]-[0,1]|^2 = 2: total = sum_k w_k*2 + 2
-        model, emb = self._setup(unlabeled=3)
+        model, emb = self._setup()
         loss = domain_loss(model, emb, [1.0, 1.0], inverted=True)
         assert float(loss.value) == pytest.approx(6.0, abs=1e-12)
         loss_w = domain_loss(model, emb, [0.5, 1.0], inverted=True)
         assert float(loss_w.value) == pytest.approx(5.0, abs=1e-12)
 
     def test_half_weight_halves_source_contribution(self):
-        model, emb = self._setup(unlabeled=0)
+        model, emb = self._setup()
         full = float(domain_loss(model, emb, [1.0, 1.0], inverted=True).value)
         half = float(domain_loss(model, emb, [0.5, 1.0], inverted=True).value)
         source_term = 2.0  # per-source mean contribution in this construction
@@ -489,31 +493,30 @@ class TestDomainLoss:
 
 class TestClassificationLoss:
     def test_term_by_term_composition(self, toy_setup):
-        params, batch = toy_setup
+        params, task = toy_setup
         tape = Tape()
         model = lift_params(tape, params, train_fg=False, train_d=False)
-        emb = embed_batch(model, tape, batch, 0.01)
+        emb = embed_task(model, tape, task, 0.01)
         from heteroadapt.model import classify
         from heteroadapt.numerics import softmax_cross_entropy
 
         ce = [
             float(softmax_cross_entropy(classify(model, e), y).value)
-            for e, y in zip(emb.sources, batch.source_onehot)
+            for e, y in zip(emb.sources, onehots(task.sources))
         ]
-        ce_t = float(
-            softmax_cross_entropy(classify(model, emb.target_labeled), batch.target_onehot).value
-        )
-        loss = classification_loss(model, emb, batch, [0.5, 1.0], tau=0.0)
+        (onehot_t,) = onehots([task.target_labeled])
+        ce_t = float(softmax_cross_entropy(classify(model, emb.target_labeled), onehot_t).value)
+        loss = classification_loss(model, emb, task, [0.5, 1.0], tau=0.0)
         assert float(loss.value) == pytest.approx(ce_t + 0.5 * ce[0] + 1.0 * ce[1], rel=1e-14)
 
     def test_regularizer_isolation(self, toy_setup):
-        params, batch = toy_setup
+        params, task = toy_setup
         tape = Tape()
         model = lift_params(tape, params, train_fg=False, train_d=False)
-        emb = embed_batch(model, tape, batch, 0.01)
+        emb = embed_task(model, tape, task, 0.01)
         tau = 0.01
-        base = float(classification_loss(model, emb, batch, [1.0, 1.0], tau=0.0).value)
-        with_reg = float(classification_loss(model, emb, batch, [1.0, 1.0], tau=tau).value)
+        base = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
+        with_reg = float(classification_loss(model, emb, task, [1.0, 1.0], tau=tau).value)
         sqsum = float(np.sum(params.classifier.w.array ** 2))
         for t in (*params.sources, params.target):
             sqsum += float(np.sum(t.w1.array ** 2) + np.sum(t.w2.array ** 2))
@@ -522,13 +525,13 @@ class TestClassificationLoss:
     def test_tied_second_layer_regularized_once(self):
         rng = np.random.default_rng(12)
         params = make_params(rng, (3, 5), 4, tied=True)
-        batch = make_toy_batch(np.random.default_rng(13))
+        task = make_toy_task(np.random.default_rng(13))
         tape = Tape()
         model = lift_params(tape, params, train_fg=False, train_d=False)
-        emb = embed_batch(model, tape, batch, 0.01)
+        emb = embed_task(model, tape, task, 0.01)
         tau = 1.0
-        base = float(classification_loss(model, emb, batch, [1.0, 1.0], tau=0.0).value)
-        with_reg = float(classification_loss(model, emb, batch, [1.0, 1.0], tau=tau).value)
+        base = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
+        with_reg = float(classification_loss(model, emb, task, [1.0, 1.0], tau=tau).value)
         sqsum = float(np.sum(params.classifier.w.array ** 2))
         sqsum += float(np.sum(params.target.w2.array ** 2))  # shared block, once
         for t in (*params.sources, params.target):
@@ -538,10 +541,10 @@ class TestClassificationLoss:
 
 class TestObjectives:
     def test_parts_sum_to_objective(self, toy_setup):
-        params, batch = toy_setup
+        params, task = toy_setup
         beta, tau = 0.03, 0.004
         obj = build_transformer_objective(
-            params, batch, beta=beta, tau=tau, lg_norm="l1", weighting="conditional"
+            params, task, beta=beta, tau=tau, lg_norm="l1", weighting="conditional"
         )
         total = float(obj.classification.value)
         total += float(obj.consistency.value)
@@ -549,17 +552,17 @@ class TestObjectives:
         assert float(obj.objective.value) == pytest.approx(total, rel=1e-12)
 
     def test_beta_zero_drops_adversarial_term(self, toy_setup):
-        params, batch = toy_setup
+        params, task = toy_setup
         obj = build_transformer_objective(
-            params, batch, beta=0.0, tau=0.004, lg_norm="l1", weighting="ones"
+            params, task, beta=0.0, tau=0.004, lg_norm="l1", weighting="ones"
         )
         expected = float(obj.classification.value) + float(obj.consistency.value)
         assert float(obj.objective.value) == pytest.approx(expected, rel=1e-14)
 
     def test_lg_off_and_ones_weighting(self, toy_setup):
-        params, batch = toy_setup
+        params, task = toy_setup
         obj = build_transformer_objective(
-            params, batch, beta=0.0, tau=0.0, lg_norm="off", weighting="ones"
+            params, task, beta=0.0, tau=0.0, lg_norm="off", weighting="ones"
         )
         assert obj.consistency is None
         assert obj.deltas is None
@@ -567,24 +570,23 @@ class TestObjectives:
 
     def test_ones_weights_reduce_to_unweighted_forms(self, toy_setup):
         # the weighted losses with w == 1 equal their unweighted originals
-        params, batch = toy_setup
+        params, task = toy_setup
         tape = Tape()
         model = lift_params(tape, params, train_fg=False, train_d=False)
-        emb = embed_batch(model, tape, batch, 0.01)
+        emb = embed_task(model, tape, task, 0.01)
         from heteroadapt.model import classify
         from heteroadapt.numerics import softmax_cross_entropy, squared_error
         from heteroadapt.model import domain_label_rows, discriminate
 
-        weighted = float(classification_loss(model, emb, batch, [1.0, 1.0], tau=0.0).value)
-        plain = float(
-            softmax_cross_entropy(classify(model, emb.target_labeled), batch.target_onehot).value
-        )
-        for e, y in zip(emb.sources, batch.source_onehot):
+        weighted = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
+        (onehot_t,) = onehots([task.target_labeled])
+        plain = float(softmax_cross_entropy(classify(model, emb.target_labeled), onehot_t).value)
+        for e, y in zip(emb.sources, onehots(task.sources)):
             plain += float(softmax_cross_entropy(classify(model, e), y).value)
         assert weighted == pytest.approx(plain, rel=1e-14)
 
         weighted_d = float(domain_loss(model, emb, [1.0, 1.0], inverted=False).value)
-        n_l, n_u = batch.n_l, batch.n_u
+        n_l, n_u = task.target_labeled.n, task.target_unlabeled.n
         plain_d = 0.0
         for e in emb.sources:
             plain_d += float(
@@ -606,13 +608,13 @@ class TestObjectives:
         assert weighted_d == pytest.approx(plain_d, rel=1e-12)
 
     def test_transformer_gradients_flow_through_weights(self, toy_setup):
-        params, batch = toy_setup
-        soft = soft_labels(params, batch.target_unlabeled_x, 0.01)
+        params, task = toy_setup
+        soft = soft_labels(params, task.target_unlabeled.features, 0.01)
 
         def fn(tensors):
             rebuilt = replace_fg(params, tensors)
             obj = build_transformer_objective(
-                rebuilt, batch, beta=0.03, tau=0.004,
+                rebuilt, task, beta=0.03, tau=0.004,
                 lg_norm="l1", weighting="conditional", soft=soft,
             )
             return obj.objective
@@ -620,9 +622,9 @@ class TestObjectives:
         assert grad_check(fn, fg_parameters(params)) < 1e-4
 
     def test_discriminator_gradients(self, toy_setup):
-        params, batch = toy_setup
+        params, task = toy_setup
         weights = [0.7, 0.9]
-        emb_values = embedding_values(params, batch)
+        emb_values = embedding_values(params, task)
 
         def fn(tensors):
             rebuilt = replace_d(params, tensors)
@@ -633,12 +635,12 @@ class TestObjectives:
 
     def test_divergence_actually_influences_gradient(self, toy_setup):
         # removing weight nodes (ones ablation) must change transformer grads
-        params, batch = toy_setup
-        soft = soft_labels(params, batch.target_unlabeled_x, 0.01)
+        params, task = toy_setup
+        soft = soft_labels(params, task.target_unlabeled.features, 0.01)
 
         def grads_for(weighting):
             obj = build_transformer_objective(
-                params, batch, beta=0.03, tau=0.0,
+                params, task, beta=0.03, tau=0.0,
                 lg_norm="off", weighting=weighting, soft=soft,
             )
             return np.concatenate(
@@ -676,6 +678,6 @@ class TestSoftLabels:
         np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
 
     def test_rows_sum_to_one_with_random_params(self, toy_setup):
-        params, batch = toy_setup
-        out = soft_labels(params, batch.target_unlabeled_x, 0.01)
+        params, task = toy_setup
+        out = soft_labels(params, task.target_unlabeled.features, 0.01)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)

@@ -173,6 +173,30 @@ class TestLosses:
             squared_error(tape.constant(np.ones((2, 2))), np.ones((2, 3)))
 
 
+class TestTapeValues:
+    def test_node_values_are_read_only(self):
+        tape = Tape()
+        node = relu(tape.constant([[1.0, -2.0]]))
+        with pytest.raises(ValueError, match="read-only"):
+            node.value[0, 0] = 5.0
+        np.testing.assert_array_equal(node.value, [[1.0, 0.0]])
+
+    def test_constant_from_another_tapes_value_is_aliased(self):
+        node = relu(Tape().constant([[1.0, -2.0]]))
+        lifted = Tape().constant(node.value)
+        assert np.shares_memory(lifted.value, node.value)
+
+    @pytest.mark.parametrize("view", [
+        pytest.param(lambda a: a, id="writeable"),
+        pytest.param(lambda a: np.broadcast_to(a, a.shape), id="read-only-view-of-writeable"),
+    ])
+    def test_constant_does_not_see_later_caller_writes(self, view):
+        caller = np.array([[1.0, 2.0]])
+        node = Tape().constant(view(caller))
+        caller[0, 0] = 9.0
+        np.testing.assert_array_equal(node.value, [[1.0, 2.0]])
+
+
 class TestBackward:
     def test_square_polynomial(self):
         tape = Tape()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heteroadapt.data import SynthSpec, synthetic_task
-from heteroadapt.errors import ConfigError
+from heteroadapt.errors import ConfigError, ShapeError
 from heteroadapt.model import (
     ClassifierParams,
     DiscriminatorParams,
@@ -16,7 +16,6 @@ from heteroadapt.model import (
 from heteroadapt.numerics import Adam, Tensor
 from heteroadapt.training import (
     TrainConfig,
-    batch_from_task,
     evaluate_accuracy,
     init_params,
     predict_classes,
@@ -110,7 +109,6 @@ class TestTrainStep:
         task = tiny_task()
         config = tiny_config()
         params = init_params(task, config)
-        batch = batch_from_task(task)
         opt_fg = Adam(fg_parameters(params), config.lr_fg)
         opt_d = Adam(d_parameters(params), config.lr_d)
 
@@ -122,8 +120,7 @@ class TestTrainStep:
             return stepped[-1]
 
         monkeypatch.setattr(training, "replace_d", spy)
-        new_params, _, _, _, _ = train_step(params, opt_fg, opt_d, batch, config,
-                                            task.eval_labels)
+        new_params, _, _, _, _ = train_step(params, opt_fg, opt_d, task, config)
         (after_d,) = stepped
         for ta, tb in zip(fg_parameters(params), fg_parameters(after_d)):
             assert ta is tb  # f,g untouched by the discriminator step
@@ -168,13 +165,12 @@ class TestTrainStep:
         task = tiny_task()
         config = tiny_config()
         params = init_params(task, config)
-        batch = batch_from_task(task)
         _, _, deltas, weights, _ = train_step(
             params, Adam(fg_parameters(params), config.lr_fg),
-            Adam(d_parameters(params), config.lr_d), batch, config, task.eval_labels,
+            Adam(d_parameters(params), config.lr_d), task, config,
         )
         obj = build_transformer_objective(
-            params, batch, beta=config.beta, tau=config.tau,
+            params, task, beta=config.beta, tau=config.tau,
             lg_norm=config.lg_norm, weighting=config.weighting,
             slope=config.leaky_slope,
         )
@@ -182,10 +178,10 @@ class TestTrainStep:
         tape_weights = np.array([float(w.value) for w in obj.weights])
         assert np.array_equal(np.array(deltas), tape_deltas)
         assert np.array_equal(np.array(weights), tape_weights)
-        fwd = embedding_pass(params, batch, weighting=config.weighting, slope=config.leaky_slope)
+        fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
         np.testing.assert_array_equal(
             softmax_values(fwd.soft_logits.value),
-            soft_labels(params, batch.target_unlabeled_x, config.leaky_slope),
+            soft_labels(params, task.target_unlabeled.features, config.leaky_slope),
         )
 
     def test_one_transformer_forward_per_domain_per_step(self, monkeypatch):
@@ -268,6 +264,23 @@ class TestTrain:
         bare = type(task)((), task.target_labeled, task.target_unlabeled, task.eval_labels)
         with pytest.raises(ConfigError, match="source"):
             train(bare, tiny_config())
+
+    @pytest.mark.parametrize("spec, mismatch", [
+        pytest.param(dict(source_dims=(12,)), "source transformers 1, task has 2",
+                     id="fewer-sources"),
+        pytest.param(dict(source_dims=(12, 14, 10)), "source transformers 3, task has 2",
+                     id="more-sources"),
+        pytest.param(dict(source_dims=(12, 15)), "source 1 input width 15, task has 14",
+                     id="source-width"),
+        pytest.param(dict(target_dim=17), "target input width 17, task has 16",
+                     id="target-width"),
+        pytest.param(dict(classes=4), "classifier classes 4, task has 3", id="classes"),
+    ])
+    def test_params_that_do_not_fit_the_task_rejected(self, spec, mismatch):
+        config = tiny_config(iterations=2)
+        params = init_params(tiny_task(**spec), config)
+        with pytest.raises(ShapeError, match=f"do not fit the task: {mismatch}"):
+            train(tiny_task(), config, params)
 
 
 class TestEvaluate:
