@@ -64,13 +64,47 @@ class MultiSourceTask:
 
     Ground-truth labels of the unlabeled split live only in `eval_labels`,
     a sealed field for accuracy evaluation; `target_unlabeled.labels` is
-    always None, so training code cannot reach them.
+    always None, so training code cannot reach them. The constructor
+    checks every invariant the model and training rely on; `build` only
+    seals the unlabeled split's labels away first.
     """
 
     sources: tuple[DomainData, ...]
     target_labeled: DomainData
     target_unlabeled: DomainData
     eval_labels: np.ndarray | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "sources", tuple(self.sources))
+        labeled, unlabeled = self.target_labeled, self.target_unlabeled
+        C = labeled.num_classes
+        for d in (*self.sources, labeled, unlabeled):
+            if d.num_classes != C:
+                raise ConfigError(
+                    f"domain {d.name!r} has {d.num_classes} classes, expected {C}"
+                )
+        for k, s in enumerate(self.sources):
+            if s.labels is None:
+                raise ConfigError(f"source {k} ({s.name!r}) must be labeled")
+            counts = s.class_counts()
+            if counts.min() < 1:
+                raise ConfigError(
+                    f"source {k} ({s.name!r}) has no samples of class {int(counts.argmin())}"
+                )
+        if unlabeled.dim != labeled.dim:
+            raise ShapeError(f"target halves differ in width: {labeled.name!r} has "
+                             f"{labeled.dim}, {unlabeled.name!r} has {unlabeled.dim}")
+        if labeled.labels is None:
+            raise ConfigError("target labeled split must carry labels")
+        if labeled.class_counts().min() < 1:
+            missing = int(labeled.class_counts().argmin())
+            raise ConfigError(f"target labeled split has no samples of class {missing}")
+        if unlabeled.labels is not None:
+            raise ConfigError(f"target unlabeled split {unlabeled.name!r} must not carry "
+                              "labels; pass them as eval_labels or use MultiSourceTask.build")
+        if self.eval_labels is not None and np.shape(self.eval_labels) != (unlabeled.n,):
+            raise ConfigError(f"eval_labels has shape {np.shape(self.eval_labels)}, expected "
+                              f"one label per unlabeled row ({unlabeled.n},)")
 
     @classmethod
     def build(
@@ -79,33 +113,9 @@ class MultiSourceTask:
         target_labeled: DomainData,
         target_unlabeled: DomainData,
     ) -> "MultiSourceTask":
-        """Validate domains and seal the unlabeled split's labels away."""
-        sources = tuple(sources)
-        C = target_labeled.num_classes
-        for d in (*sources, target_labeled, target_unlabeled):
-            if d.num_classes != C:
-                raise ConfigError(
-                    f"domain {d.name!r} has {d.num_classes} classes, expected {C}"
-                )
-        for k, s in enumerate(sources):
-            if s.labels is None:
-                raise ConfigError(f"source {k} ({s.name!r}) must be labeled")
-            counts = s.class_counts()
-            if counts.min() < 1:
-                raise ConfigError(
-                    f"source {k} ({s.name!r}) has no samples of class {int(counts.argmin())}"
-                )
-        if target_unlabeled.dim != target_labeled.dim:
-            raise ShapeError(f"target halves differ in width: {target_labeled.name!r} has "
-                             f"{target_labeled.dim}, {target_unlabeled.name!r} has {target_unlabeled.dim}")
-        if target_labeled.labels is None:
-            raise ConfigError("target labeled split must carry labels")
-        if target_labeled.class_counts().min() < 1:
-            missing = int(target_labeled.class_counts().argmin())
-            raise ConfigError(f"target labeled split has no samples of class {missing}")
-        eval_labels = target_unlabeled.labels
+        """Seal the unlabeled split's labels away and validate the task."""
         sealed = replace(target_unlabeled, labels=None)
-        return cls(sources, target_labeled, sealed, eval_labels)
+        return cls(sources, target_labeled, sealed, target_unlabeled.labels)
 
     @property
     def num_sources(self) -> int:

@@ -212,10 +212,8 @@ def _nnt_single(task: MultiSourceTask, config: TrainConfig) -> float:
     )
 
 
-def _nnst_single(task: MultiSourceTask, config: TrainConfig,
-                 params: ModelParams | None = None) -> float:
-    if params is None:
-        params = init_params(task, config)
+def _nnst_single(task: MultiSourceTask, config: TrainConfig) -> float:
+    params = init_params(task, config)
     _, final = plain_supervised_train(params, task, config, include_sources=True)
     return evaluate_accuracy(
         final, task.target_unlabeled.features, task.eval_labels, config.leaky_slope

@@ -3,6 +3,21 @@
 Conventions: data matrices are (n, d) with samples in rows; vectors are
 rank 1. Tape nodes hold raw ndarrays (scalars are 0-d); the `Tensor`
 wrapper is the validated value type used for parameters and datasets.
+
+Three rules keep the hot paths lean without changing a result:
+
+- Ownership. An array is written in place only by the code that
+  allocated it: `Adam` its `m` and `v`, `Tape.backward` a gradient sum it
+  built itself (never a vjp's output, which may be shared), an op its
+  output before the output goes on the tape. `Tensor._adopt` (used only
+  by `backward` and `Adam`) wraps arrays that nothing else can write.
+- Freeing. `backward` drops a node's gradient as soon as it has been
+  propagated to the node's parents; only parameter gradients live until
+  it returns.
+- Order. A rewrite may change where a result is stored, never the order
+  of the float operations that produce it, so values, parameters and
+  gradients stay bit-identical (a gradient up to the sign of an exact
+  zero, see `Tape.backward`).
 """
 
 from __future__ import annotations
@@ -19,9 +34,11 @@ Array = np.ndarray
 class Tensor:
     """Immutable rank-1 or rank-2 array of finite float64 values.
 
-    Construction always copies and validates: every dimension is positive
+    `Tensor(...)` always copies and validates: every dimension is positive
     and every entry is finite. The backing array is marked read-only, so
-    tensors are safe to share across threads.
+    tensors are safe to share across threads. Only `Tape.backward` and
+    `Adam.step` may call `Tensor._adopt`, which validates the same way but
+    keeps the array it is given; they pass arrays nothing else can write.
     """
 
     __slots__ = ("array",)
@@ -30,14 +47,14 @@ class Tensor:
         arr = np.array(values, dtype=np.float64, order="C")
         if shape is not None:
             arr = arr.reshape(tuple(shape))
-        if arr.ndim not in (1, 2):
-            raise ShapeError(f"tensor rank must be 1 or 2, got shape {arr.shape}")
-        if any(dim < 1 for dim in arr.shape):
-            raise ShapeError(f"tensor dimensions must be positive, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor values must all be finite")
-        arr.flags.writeable = False
-        self.array = arr
+        self.array = _validated(arr)
+
+    @classmethod
+    def _adopt(cls, arr: Array) -> "Tensor":
+        """Wrap `arr` itself; only a non-float64 or non-C-contiguous array is copied."""
+        tensor = cls.__new__(cls)
+        tensor.array = _validated(np.asarray(arr, dtype=np.float64, order="C"))
+        return tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,6 +66,18 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+def _validated(arr: Array) -> Array:
+    """`arr`, marked read-only, once its rank, dimensions and values pass."""
+    if arr.ndim not in (1, 2):
+        raise ShapeError(f"tensor rank must be 1 or 2, got shape {arr.shape}")
+    if any(dim < 1 for dim in arr.shape):
+        raise ShapeError(f"tensor dimensions must be positive, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor values must all be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def _as_array(values) -> Array:
@@ -175,7 +204,15 @@ class Tape:
     def backward(self, loss: Node) -> list[Tensor]:
         """Gradients of a scalar loss, one Tensor per registered parameter.
 
-        Parameters that do not reach the loss get zero gradients.
+        Parameters that do not reach the loss get zero gradients. A node's
+        first gradient contribution is stored as the vjp returned it: that
+        array may be shared (`add` hands one `g` to both parents), so it is
+        never written. The second contribution builds a new array, and only
+        such an array is updated in place by later ones. Contributions are
+        summed in reverse tape order, as `0 + c1 + c2 + ...` was, so
+        gradients are bit-equal to that sum up to the sign of an exact zero.
+        A node's gradient is dropped once it has been propagated, unless the
+        node is a parameter.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
@@ -183,23 +220,31 @@ class Tape:
             raise ShapeError(
                 f"backward needs a scalar loss node, got shape {self._values[loss.index].shape}"
             )
+        retained = set(self._param_indices)
+        owned: set[int] = set()
         grads: list[Array | None] = [None] * len(self._values)
         grads[loss.index] = np.ones((), dtype=np.float64)
         for i in range(loss.index, -1, -1):
             g = grads[i]
             if g is None:
                 continue
+            if i not in retained:
+                grads[i] = None
             for parent, vjp in zip(self._parents[i], self._vjps[i]):
                 if vjp is None or not self._needs_grad[parent]:
                     continue
                 contribution = vjp(g)
                 if grads[parent] is None:
-                    grads[parent] = np.zeros_like(self._values[parent])
-                grads[parent] += contribution
+                    grads[parent] = contribution
+                elif parent in owned:
+                    grads[parent] += contribution
+                else:
+                    grads[parent] = grads[parent] + contribution
+                    owned.add(parent)
         out = []
         for idx in self._param_indices:
             g = grads[idx]
-            out.append(Tensor(np.zeros_like(self._values[idx])) if g is None else Tensor(g))
+            out.append(Tensor._adopt(np.zeros_like(self._values[idx]) if g is None else g))
         return out
 
 
@@ -270,7 +315,8 @@ def matmul_affine(x: Node, w: Node, b: Node) -> Node:
         raise ShapeError(
             f"matmul_affine dimensions disagree: x {xv.shape}, w {wv.shape}, b {bv.shape}"
         )
-    out = xv @ wv + bv
+    out = xv @ wv
+    out += bv
     return tape.append(
         "matmul_affine",
         out,
@@ -286,17 +332,33 @@ def relu(x: Node) -> Node:
 
 
 def leaky_relu(x: Node, slope: float = 0.01) -> Node:
-    """Elementwise max(x, slope * x)."""
+    """Elementwise max(x, slope * x).
+
+    The vjp is `g * where(x >= slope * x, 1, slope)`. It reads that mask
+    back as `out == x`, which holds exactly where `x >= slope * x`, and
+    builds the factor arithmetically: `max(mask, slope)` for slope <= 1,
+    `fmax(~mask * slope, 1)` above 1 (`fmax` turns `0 * inf` into 1).
+    Both equal the `where` factor bit for bit, without its per-element
+    branch.
+    """
     slope = float(slope)
     if slope < 0:
         raise ValueError(f"leaky_relu slope must be >= 0, got {slope}")
     xv = x.value
-    sv = slope * xv
-    keep = xv >= sv
-    out = np.where(keep, xv, sv)
-    return x.tape.append(
-        "leaky_relu", out, (x.index,), (lambda g: g * np.where(keep, 1.0, slope),)
-    )
+    out = np.multiply(slope, xv, out=np.empty_like(xv))
+    np.maximum(xv, out, out=out)
+
+    def vjp(g):
+        keep = out == xv
+        if slope > 1.0:
+            factor = np.multiply(~keep, slope, dtype=np.float64)
+            np.fmax(factor, 1.0, out=factor)
+        else:
+            factor = np.maximum(keep, slope, dtype=np.float64)
+        factor *= g
+        return factor
+
+    return x.tape.append("leaky_relu", out, (x.index,), (vjp,))
 
 
 def sigmoid(x: Node) -> Node:
@@ -403,7 +465,9 @@ class Adam:
 
     Update: m <- b1 m + (1-b1) g; v <- b2 v + (1-b2) g^2;
     p <- p - lr * mhat / (sqrt(vhat) + eps). A zero gradient from a fresh
-    state leaves parameters bit-identical.
+    state leaves parameters bit-identical. `m` and `v` are updated in place
+    with the operation order of those formulas, and each step holds one
+    parameter-sized temporary besides the new parameter.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
@@ -427,18 +491,30 @@ class Adam:
             )
         self.step_count += 1
         t = self.step_count
+        m_scale, v_scale = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != self.m[i].shape or g.shape != self.m[i].shape:
+            m, v = self.m[i], self.v[i]
+            if p.shape != m.shape or g.shape != m.shape:
                 raise ShapeError(
-                    f"parameter {i}: shapes {p.shape}/{g.shape} do not match state {self.m[i].shape}"
+                    f"parameter {i}: shapes {p.shape}/{g.shape} do not match state {m.shape}"
                 )
             gv = g.array
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * gv
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * gv * gv
-            mhat = self.m[i] / (1.0 - self.beta1 ** t)
-            vhat = self.v[i] / (1.0 - self.beta2 ** t)
-            out.append(Tensor(p.array - self.lr * mhat / (np.sqrt(vhat) + self.eps)))
+            m *= self.beta1
+            tmp = (1.0 - self.beta1) * gv
+            m += tmp
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, gv, out=tmp)
+            tmp *= gv
+            v += tmp
+            np.divide(v, v_scale, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            new = m / m_scale
+            new *= self.lr
+            new /= tmp
+            np.subtract(p.array, new, out=new)
+            out.append(Tensor._adopt(new))
         return out
 
 

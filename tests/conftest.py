@@ -13,6 +13,17 @@ from heteroadapt.model import (
 )
 from heteroadapt.numerics import Tensor
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Derandomized: every run checks the same examples, so the suite stays
+    # reproducible and its time bounded.
+    settings.register_profile("heteroadapt", derandomize=True, deadline=None,
+                              max_examples=40, database=None)
+    settings.load_profile("heteroadapt")
+
 
 def make_transformer(rng, d_in, hidden, d_c, scale=0.8):
     return TransformerParams(

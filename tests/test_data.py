@@ -1,5 +1,7 @@
 """Synthetic generation, the sampling protocol, and domain file round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,27 @@ class TestTaskAssembly:
         want = f"'{labeled.name}' has 16, 'narrow' has 15"
         with pytest.raises(ShapeError, match=want):
             MultiSourceTask.build(bundle.sources, labeled, narrow)
+
+    def test_constructor_rejects_wrong_eval_label_count(self):
+        task = synthetic_task(small_spec())
+        short = task.eval_labels[:-1]
+        with pytest.raises(ConfigError, match="eval_labels"):
+            MultiSourceTask(task.sources, task.target_labeled, task.target_unlabeled, short)
+
+    def test_constructor_rejects_unsealed_unlabeled_split(self):
+        task = synthetic_task(small_spec())
+        unsealed = replace(task.target_unlabeled, labels=task.eval_labels)
+        with pytest.raises(ConfigError, match="must not carry labels"):
+            MultiSourceTask(task.sources, task.target_labeled, unsealed, task.eval_labels)
+
+    def test_constructor_checks_what_build_checks(self):
+        task = synthetic_task(small_spec())
+        unlabeled_source = replace(task.sources[0], labels=None)
+        with pytest.raises(ConfigError, match="must be labeled"):
+            replace(task, sources=(unlabeled_source,))
+        with pytest.raises(ConfigError, match="carry labels"):
+            replace(task, target_labeled=replace(task.target_labeled, labels=None))
+        assert replace(task, sources=()).num_sources == 0
 
 
 class TestSyntheticGeneration:

@@ -10,10 +10,12 @@ from heteroadapt.numerics import (
     Adam,
     Tape,
     Tensor,
+    add,
     grad_check,
     leaky_relu,
     matmul_affine,
     relu,
+    scale,
     sigmoid,
     sigmoid_values,
     softmax_cross_entropy,
@@ -288,6 +290,96 @@ class TestBackward:
             assert err < 1e-4, f"{name} gradient mismatch: {err}"
 
 
+def bits(a):
+    """The raw bit patterns of a float64 array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestGradientOwnership:
+    """`backward` stores a node's first gradient contribution without
+    copying it, so the same array can reach several parents; summing into
+    it in place would leak one parent's gradient into another's."""
+
+    def test_parameter_added_to_itself_gets_exactly_twice_g(self):
+        rng = np.random.default_rng(0)
+        p0 = rng.uniform(-1, 1, (3, 4))
+        tape = Tape()
+        p = tape.param(Tensor(p0))
+        (grad,) = tape.backward(sum_sq(add(p, p)))
+        g = 2.0 * (p0 + p0)
+        np.testing.assert_array_equal(grad.array, 2 * g)
+
+    def test_siblings_sharing_a_pass_through_gradient_stay_independent(self):
+        # s = p1 + p2 hands one g to both; p1 then gets a second term via u
+        rng = np.random.default_rng(1)
+        a0, b0 = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3))
+        tape = Tape()
+        p1, p2 = tape.param(Tensor(a0)), tape.param(Tensor(b0))
+        u = scale(p1, 3.0)
+        s = add(p1, p2)
+        g1, g2 = tape.backward(sum_sq(s) + sum_sq(u))
+        g_s = 2.0 * (a0 + b0)
+        np.testing.assert_array_equal(g2.array, g_s)
+        np.testing.assert_array_equal(g1.array, g_s + (2.0 * (3.0 * a0)) * 3.0)
+
+    def test_parameter_used_by_three_ops(self):
+        rng = np.random.default_rng(2)
+        p0 = rng.uniform(-1, 1, (2, 5))
+        tape = Tape()
+        p = tape.param(Tensor(p0))
+        loss = sum_sq(p) + sum_abs(p) + sum_sq(scale(p, 0.5))
+        (grad,) = tape.backward(loss)
+        # contributions arrive in reverse tape order: scale, sum_abs, sum_sq
+        expected = (2.0 * (p0 * 0.5)) * 0.5 + np.sign(p0) + 2.0 * p0
+        np.testing.assert_array_equal(grad.array, expected)
+
+    def test_returned_gradients_are_read_only_and_unshared(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, (4, 3))
+        init = [Tensor(rng.uniform(-1, 1, shape)) for shape in [(3, 2), (2,), (4, 2), (4, 2)]]
+        tape = Tape()
+        w, b, p1, p2 = (tape.param(t) for t in init)
+        h = leaky_relu(matmul_affine(tape.constant(x), w, b), 0.1)
+        loss = sum_sq(h * add(p1, p2)) + sum_sq(w) + sum_abs(b)
+        grads = tape.backward(loss)
+        for g in grads:
+            with pytest.raises(ValueError, match="read-only"):
+                g.array[0] = 1.0
+        for i in range(len(grads)):
+            for j in range(i + 1, len(grads)):
+                if (i, j) == (2, 3):
+                    # p1 and p2 get the one array `add` passes through
+                    np.testing.assert_array_equal(grads[i].array, grads[j].array)
+                else:
+                    assert not np.shares_memory(grads[i].array, grads[j].array), (i, j)
+        for g, t in zip(grads, init):
+            assert not np.shares_memory(g.array, t.array)
+
+
+class TestLeakyReluExactness:
+    """Value and vjp equal the `np.where` reference formulas bit for bit."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 1.5])
+    def test_value_and_vjp_match_where_reference(self, slope):
+        rng = np.random.default_rng(4)
+        x0 = rng.uniform(-2, 2, (6, 7))
+        x0[0, :3] = 0.0
+        x0[1, :3] = -0.0
+        c = rng.uniform(-2, 2, x0.shape)
+        sv = slope * x0
+        keep = x0 >= sv
+        out_ref = np.where(keep, x0, sv)
+        c[0, 0] = -out_ref[0, 0]          # upstream gradient 2 * (out + c) is +0.0
+        c[1, 0] = -0.0                    # and -0.0 (for slope > 0) here
+        tape = Tape()
+        p = tape.param(Tensor(x0))
+        out = leaky_relu(p, slope)
+        (grad,) = tape.backward(sum_sq(add(out, tape.constant(c))))
+        g = 2.0 * (out_ref + c)
+        np.testing.assert_array_equal(bits(out.value), bits(out_ref))
+        np.testing.assert_array_equal(bits(grad.array), bits(g * np.where(keep, 1.0, slope)))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params_bit_identical(self):
         p = [Tensor([[0.25, -1.5]])]
@@ -318,6 +410,31 @@ class TestAdam:
         final = float(sum_sq(tape.param(params[0])).value)
         assert final < losses[0]
         assert opt.step_count == 2
+
+    def test_three_steps_match_the_textbook_update_exactly(self):
+        rng = np.random.default_rng(6)
+        b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+        start = [rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 4)]
+        opt = Adam([Tensor(a) for a in start], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        params = [Tensor(a) for a in start]
+        ref = [a.copy() for a in start]
+        m = [np.zeros_like(a) for a in start]
+        v = [np.zeros_like(a) for a in start]
+        for t in range(1, 4):
+            grads = [rng.uniform(-2, 2, a.shape) for a in start]
+            params = opt.step(params, [Tensor(g) for g in grads])
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat = m[i] / (1 - b1 ** t)
+                vhat = v[i] / (1 - b2 ** t)
+                ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            for p, r in zip(params, ref):
+                np.testing.assert_array_equal(bits(p.array), bits(r))
+                assert not p.array.flags.writeable
+        for i in range(2):
+            np.testing.assert_array_equal(opt.m[i], m[i])
+            np.testing.assert_array_equal(opt.v[i], v[i])
 
     def test_shape_mismatch_rejected(self):
         opt = Adam([Tensor([1.0, 2.0])], lr=0.01)
