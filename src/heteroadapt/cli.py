@@ -34,7 +34,7 @@ from .experiments import (
     run_source_sweep,
     write_summary_csvs,
 )
-from .training import TrainConfig, train
+from .training import LG_NORMS, WEIGHTINGS, TrainConfig, train
 
 DEFAULT_SWEEP_DIMS = "100:1000:100,target=2000"
 
@@ -101,19 +101,18 @@ def _config_entries(config: TrainConfig) -> dict:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, default=0.03)
-    parser.add_argument("--tau", type=float, default=0.004)
-    parser.add_argument("--dc", type=int, default=256, help="shared subspace width")
-    parser.add_argument("--hidden", type=int, default=256)
-    parser.add_argument("--lr-fg", type=float, default=0.004)
-    parser.add_argument("--lr-d", type=float, default=0.001)
-    parser.add_argument("--iters", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lg", choices=["l1", "l2", "off", "tied"], default="l1")
-    parser.add_argument(
-        "--weighting", choices=["conditional", "ones"], default="conditional"
-    )
-    parser.add_argument("--leaky-slope", type=float, default=0.01)
+    cfg = TrainConfig()
+    parser.add_argument("--beta", type=float, default=cfg.beta)
+    parser.add_argument("--tau", type=float, default=cfg.tau)
+    parser.add_argument("--dc", type=int, default=cfg.d_c, help="shared subspace width")
+    parser.add_argument("--hidden", type=int, default=cfg.hidden)
+    parser.add_argument("--lr-fg", type=float, default=cfg.lr_fg)
+    parser.add_argument("--lr-d", type=float, default=cfg.lr_d)
+    parser.add_argument("--iters", type=int, default=cfg.iterations)
+    parser.add_argument("--seed", type=int, default=cfg.seed)
+    parser.add_argument("--lg", choices=LG_NORMS, default=cfg.lg_norm)
+    parser.add_argument("--weighting", choices=WEIGHTINGS, default=cfg.weighting)
+    parser.add_argument("--leaky-slope", type=float, default=cfg.leaky_slope)
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -147,13 +146,15 @@ def _out_dir(args) -> Path:
 
 def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
     """The synthetic-data knobs shared by `synth` and `experiment sweep`."""
-    parser.add_argument("--classes", type=int, default=3)
-    parser.add_argument("--per-class", type=int, default=100)
-    parser.add_argument("--latent-dim", type=int, default=10)
-    parser.add_argument("--target-labeled-per-class", type=int, default=3)
-    parser.add_argument("--target-unlabeled", type=int, default=500)
-    parser.add_argument("--spread", type=float, default=0.5)
-    parser.add_argument("--noise", type=float, default=0.1)
+    spec = SynthSpec()
+    parser.add_argument("--classes", type=int, default=spec.classes)
+    parser.add_argument("--per-class", type=int, default=spec.samples_per_class)
+    parser.add_argument("--latent-dim", type=int, default=spec.latent_dim)
+    parser.add_argument("--target-labeled-per-class", type=int,
+                        default=spec.target_labeled_per_class)
+    parser.add_argument("--target-unlabeled", type=int, default=spec.target_unlabeled)
+    parser.add_argument("--spread", type=float, default=spec.spread)
+    parser.add_argument("--noise", type=float, default=spec.noise)
 
 
 def _synth_spec_from_args(args, seed: int, standardize: bool = True) -> SynthSpec:
@@ -283,6 +284,8 @@ def cmd_experiment(args) -> int:
     started = time.time()
     config = _config_from_args(args)
     seeds = parse_seeds(args.seeds)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out = _out_dir(args)
     entries = {
         "command": f"experiment {args.mode}",

@@ -22,7 +22,9 @@ from .numerics import (
     Node,
     Tape,
     Tensor,
+    affine_values,
     leaky_relu,
+    leaky_relu_values,
     matmul_affine,
     relu,
     sigmoid,
@@ -215,21 +217,10 @@ def replace_d(params: ModelParams, leaves: Sequence[Leaf]) -> ModelParams:
 # -- lifting parameters onto a tape ------------------------------------------
 
 
-def lift_params(tape: Tape, params: ModelParams, *, train_fg: bool,
-                train_d: bool) -> ModelParams:
-    """Put every parameter on the tape: the same containers with Node leaves.
-
-    Trainable groups become `param` leaves (registered in the matching
-    flat order, so `tape.backward` aligns with `fg_parameters` /
-    `d_parameters`); frozen groups become constants.
-    """
-    model = lift_fg(tape, params, trainable=train_fg)
-    return lift_discriminator(tape, model, params.discriminator, trainable=train_d)
-
-
 def lift_fg(tape: Tape, params: ModelParams, *, trainable: bool) -> ModelParams:
-    """Transformers and classifier lifted in `fg_parameters` order; the
-    discriminator is left as it is."""
+    """Transformers and classifier lifted in `fg_parameters` order, so
+    `tape.backward` returns gradients in that order (frozen ones become
+    constants); the discriminator is left as it is."""
     lift = tape.param if trainable else tape.constant
     return replace_fg(params, [lift(p) for p in fg_parameters(params)])
 
@@ -260,36 +251,19 @@ def discriminate(model: ModelParams, emb: Node) -> Node:
     return matmul_affine(hidden, d.w2, d.b2)
 
 
-def _frozen_transform(tape: Tape, t: TransformerParams, x, slope: float) -> Node:
-    lifted = TransformerParams(*(tape.constant(p) for p in (t.w1, t.b1, t.w2, t.b2)))
-    return transform(lifted, tape.constant(x), slope)
-
-
 def transform_values(t: TransformerParams, x, slope: float) -> np.ndarray:
-    """Value-only forward pass through one transformer."""
-    return _frozen_transform(Tape(), t, x, slope).value
+    """Value-only `transform` through stored parameters, on the same kernels."""
+    hidden = leaky_relu_values(affine_values(x, t.w1, t.b1), slope)
+    return leaky_relu_values(affine_values(hidden, t.w2, t.b2), slope)
 
 
 def classifier_logits(params: ModelParams, t: TransformerParams, x, slope: float) -> np.ndarray:
     """Value-only logits for samples of the domain owning transformer `t`."""
-    tape = Tape()
     c = params.classifier
-    emb = _frozen_transform(tape, t, x, slope)
-    return matmul_affine(emb, tape.constant(c.w), tape.constant(c.b)).value
-
-
-def soft_labels(params: ModelParams, x_unlabeled, slope: float) -> np.ndarray:
-    """Row-wise class probabilities for unlabeled target samples."""
-    return softmax_values(classifier_logits(params, params.target, x_unlabeled, slope))
+    return affine_values(transform_values(t, x, slope), c.w, c.b)
 
 
 # -- embedding a task -----------------------------------------------------------
-
-
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 @dataclass
@@ -462,16 +436,14 @@ def classification_loss(
 
 def _classification(model, emb, task, weights, tau) -> tuple[Node, list[Node]]:
     """`classification_loss` plus the per-source logit nodes it builds."""
-    num_classes = task.num_classes
-    target_ce = softmax_cross_entropy(
-        classify(model, emb.target_labeled), _one_hot(task.target_labeled.labels, num_classes)
-    )
+    target_ce = softmax_cross_entropy(classify(model, emb.target_labeled),
+                                      task.target_labeled.labels)
     total = target_ce
     source_logits = []
     for w_k, emb_k, source in zip(weights, emb.sources, task.sources):
         logits = classify(model, emb_k)
         source_logits.append(logits)
-        total = total + w_k * softmax_cross_entropy(logits, _one_hot(source.labels, num_classes))
+        total = total + w_k * softmax_cross_entropy(logits, source.labels)
     if tau > 0.0:
         seen: set[int] = set()
         penalty = None
@@ -530,24 +502,17 @@ class EmbeddingPass:
     soft_logits: Node | None
     deltas: list[Node]
     weights: list[Node | float]
-    conditional: bool
 
 
 @dataclass
 class TransformerObjective:
-    """The scalar minimized over transformers + classifier, with its parts.
+    """The scalar minimized over transformers + classifier, with its parts;
+    the tape, divergences and weights are the `EmbeddingPass`'s."""
 
-    `deltas` holds the divergence nodes the weights are built from, or None
-    when the weights are constant ones.
-    """
-
-    tape: Tape
     objective: Node
     classification: Node
     consistency: Node | None
     inverted_domain: Node
-    deltas: list[Node] | None
-    weights: list[Node | float]
     source_logits: list[Node]
 
 
@@ -601,7 +566,7 @@ def embedding_pass(
     deltas = divergence_nodes(emb, task, soft)
     conditional = weighting == "conditional" and task.num_sources >= 2
     weights = source_weight_nodes(deltas) if conditional else [1.0] * task.num_sources
-    return EmbeddingPass(tape, model, emb, soft_logits, deltas, weights, conditional)
+    return EmbeddingPass(tape, model, emb, soft_logits, deltas, weights)
 
 
 def transformer_objective(
@@ -634,28 +599,7 @@ def transformer_objective(
         objective = objective + cons
     if beta > 0.0:
         objective = objective + beta * inv
-    deltas = fwd.deltas if fwd.conditional else None
-    return TransformerObjective(tape, objective, cls, cons, inv, deltas, weights, source_logits)
-
-
-def build_transformer_objective(
-    params: ModelParams,
-    task: MultiSourceTask,
-    *,
-    beta: float,
-    tau: float,
-    lg_norm: str = "l1",
-    weighting: str = "conditional",
-    slope: float = 0.01,
-    soft: np.ndarray | None = None,
-) -> TransformerObjective:
-    """`embedding_pass` then `transformer_objective` with `params`' own
-    discriminator. Soft labels are constants; when not supplied they come
-    from `params` on the same tape."""
-    fwd = embedding_pass(params, task, weighting=weighting, slope=slope, soft=soft)
-    return transformer_objective(
-        fwd, params.discriminator, task, beta=beta, tau=tau, lg_norm=lg_norm
-    )
+    return TransformerObjective(objective, cls, cons, inv, source_logits)
 
 
 def build_discriminator_objective(

@@ -190,15 +190,6 @@ class Tape:
             arr = np.array(values, dtype=np.float64)
         return self.append("const", arr, needs_grad=False)
 
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._values)
-
-    def parents_of(self, index: int) -> tuple[int, ...]:
-        return self._parents[index]
-
     # -- reverse pass ----------------------------------------------------
 
     def backward(self, loss: Node) -> list[Tensor]:
@@ -306,23 +297,29 @@ def scale(x: Node, c: float) -> Node:
 def matmul_affine(x: Node, w: Node, b: Node) -> Node:
     """x (n, a) @ w (a, b) + bias (b,), bias broadcast over rows."""
     tape = _same_tape(x, w, b)
-    xv, wv, bv = x.value, w.value, b.value
-    if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
-        raise ShapeError(
-            f"matmul_affine expects (n,a) @ (a,b) + (b,), got {xv.shape}, {wv.shape}, {bv.shape}"
-        )
-    if xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]:
-        raise ShapeError(
-            f"matmul_affine dimensions disagree: x {xv.shape}, w {wv.shape}, b {bv.shape}"
-        )
-    out = xv @ wv
-    out += bv
+    xv, wv = x.value, w.value
     return tape.append(
         "matmul_affine",
-        out,
+        affine_values(xv, wv, b.value),
         (x.index, w.index, b.index),
         (lambda g: g @ wv.T, lambda g: xv.T @ g, lambda g: g.sum(axis=0)),
     )
+
+
+def affine_values(x, w, b) -> Array:
+    """`matmul_affine` on raw arrays or Tensors: a new array `x @ w + b`."""
+    x, w, b = _as_array(x), _as_array(w), _as_array(b)
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise ShapeError(
+            f"matmul_affine expects (n,a) @ (a,b) + (b,), got {x.shape}, {w.shape}, {b.shape}"
+        )
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(
+            f"matmul_affine dimensions disagree: x {x.shape}, w {w.shape}, b {b.shape}"
+        )
+    out = x @ w
+    out += b
+    return out
 
 
 def relu(x: Node) -> Node:
@@ -342,11 +339,8 @@ def leaky_relu(x: Node, slope: float = 0.01) -> Node:
     branch.
     """
     slope = float(slope)
-    if slope < 0:
-        raise ValueError(f"leaky_relu slope must be >= 0, got {slope}")
     xv = x.value
-    out = np.multiply(slope, xv, out=np.empty_like(xv))
-    np.maximum(xv, out, out=out)
+    out = leaky_relu_values(xv, slope)
 
     def vjp(g):
         keep = out == xv
@@ -359,6 +353,17 @@ def leaky_relu(x: Node, slope: float = 0.01) -> Node:
         return factor
 
     return x.tape.append("leaky_relu", out, (x.index,), (vjp,))
+
+
+def leaky_relu_values(x, slope: float = 0.01) -> Array:
+    """`leaky_relu` on raw arrays or Tensors: a new array `max(x, slope * x)`."""
+    slope = float(slope)
+    if slope < 0:
+        raise ValueError(f"leaky_relu slope must be >= 0, got {slope}")
+    x = _as_array(x)
+    out = np.multiply(slope, x, out=np.empty_like(x))
+    np.maximum(x, out, out=out)
+    return out
 
 
 def sigmoid(x: Node) -> Node:
@@ -406,36 +411,32 @@ def softmax_values(logits: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_onehot(y: Array) -> None:
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("label rows must be one-hot (entries restricted to 0/1)")
-    bad = np.flatnonzero(y.sum(axis=1) != 1.0)
-    if bad.size:
-        raise ValueError(f"label row {bad[0]} is not one-hot (row sum != 1)")
-
-
-def softmax_cross_entropy(logits: Node, onehot) -> Node:
+def softmax_cross_entropy(logits: Node, labels) -> Node:
     """Mean over rows of -log softmax(logits)[label], in log-sum-exp form.
 
-    `onehot` is constant data (n, C) of exact 0/1 rows summing to 1.
+    `labels` is constant data: one integer class in [0, C) per row.
     """
-    y = _as_array(onehot)
     zv = logits.value
-    if zv.ndim != 2 or y.shape != zv.shape:
-        raise ShapeError(f"cross entropy shapes differ: logits {zv.shape}, labels {y.shape}")
-    _check_onehot(y)
-    n = zv.shape[0]
+    y = np.asarray(labels)
+    if zv.ndim != 2 or y.shape != zv.shape[:1]:
+        raise ShapeError(f"cross entropy labels {y.shape} do not match logits {zv.shape}")
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"cross entropy labels must be integers, got dtype {y.dtype}")
+    n, num_classes = zv.shape
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(f"cross entropy labels must lie in [0, {num_classes})")
+    rows = np.arange(n)
     m = zv.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(zv - m).sum(axis=1))
-    picked = (zv * y).sum(axis=1)
-    out = np.mean(lse - picked)
-    softmax = np.exp(zv - m)
-    softmax /= softmax.sum(axis=1, keepdims=True)
+    out = np.mean(lse - zv[rows, y])
+    d = np.exp(zv - m)  # softmax - onehot, built in place
+    d /= d.sum(axis=1, keepdims=True)
+    d[rows, y] -= 1.0
     return logits.tape.append(
         "softmax_cross_entropy",
         out,
         (logits.index,),
-        (lambda g: g * (softmax - y) / n,),
+        (lambda g: g * d / n,),
     )
 
 

@@ -148,20 +148,18 @@ def init_params(task: MultiSourceTask, config: TrainConfig) -> ModelParams:
 # -- evaluation ----------------------------------------------------------------
 
 
-def predict_classes(params: ModelParams, features, slope: float,
-                    transformer: TransformerParams | None = None) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    t = params.target if transformer is None else transformer
-    return np.argmax(classifier_logits(params, t, features, slope), axis=1)
-
-
 def evaluate_accuracy(params: ModelParams, features, labels, slope: float = 0.01,
                       transformer: TransformerParams | None = None) -> float:
+    """Share of rows whose argmax class (ties to the lowest index) is the
+    row's label; `labels` holds one class per row of `features`."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ConfigError("evaluation set is empty")
     t = params.target if transformer is None else transformer
-    return _hit_rate(classifier_logits(params, t, features, slope), labels)
+    logits = classifier_logits(params, t, features, slope)
+    if labels.shape != logits.shape[:1]:
+        raise ShapeError(f"evaluation labels have shape {labels.shape}, expected ({len(logits)},)")
+    return _hit_rate(logits, labels)
 
 
 def _hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -210,7 +208,7 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
         fwd, params.discriminator, task,
         beta=config.beta, tau=config.tau, lg_norm=config.lg_norm,
     )
-    fg_grads = obj.tape.backward(obj.objective)
+    fg_grads = fwd.tape.backward(obj.objective)
     params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
 
     source_acc = tuple(

@@ -9,9 +9,12 @@ from heteroadapt.model import (
     DiscriminatorParams,
     ModelParams,
     TransformerParams,
+    classifier_logits,
+    lift_discriminator,
+    lift_fg,
     transform_values,
 )
-from heteroadapt.numerics import Tensor
+from heteroadapt.numerics import Tensor, softmax_values
 
 try:
     from hypothesis import settings
@@ -59,6 +62,18 @@ def make_params(rng, source_dims, target_dim, hidden=4, d_c=4, num_classes=2, ti
         Tensor(rng.uniform(-0.2, 0.2, 2)),
     )
     return ModelParams(sources, target, classifier, disc)
+
+
+def frozen_model(tape, params):
+    """Every parameter of `params` on `tape` as a constant, in training's
+    lifting order: transformers and classifier, then the discriminator."""
+    model = lift_fg(tape, params, trainable=False)
+    return lift_discriminator(tape, model, params.discriminator, trainable=False)
+
+
+def target_soft(params, features, slope=0.01):
+    """Soft labels of target samples, as `embedding_pass` derives them."""
+    return softmax_values(classifier_logits(params, params.target, features, slope))
 
 
 def embedding_values(params, task, slope=0.01):

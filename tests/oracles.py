@@ -85,7 +85,8 @@ def three_forward_train(task, config):
         domain_loss,
         embed_task,
         fg_parameters,
-        lift_params,
+        lift_discriminator,
+        lift_fg,
         replace_d,
         replace_fg,
         source_weight_nodes,
@@ -107,7 +108,8 @@ def three_forward_train(task, config):
     for it in range(config.iterations):
         # forward 1: the weighting pass on a constant tape
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = lift_fg(tape, params, trainable=False)
+        model = lift_discriminator(tape, model, params.discriminator, trainable=False)
         emb = embed_task(model, tape, task, slope)
         soft = softmax_values(classify(model, emb.target_unlabeled).value)
         deltas = np.array([float(d.value) for d in divergence_nodes(emb, task, soft)])
@@ -124,7 +126,8 @@ def three_forward_train(task, config):
 
         # forward 2: the transformer objective on its own tape
         tape = Tape()
-        model = lift_params(tape, params, train_fg=True, train_d=False)
+        model = lift_fg(tape, params, trainable=True)
+        model = lift_discriminator(tape, model, params.discriminator, trainable=False)
         emb = embed_task(model, tape, task, slope)
         live = [1.0] * task.num_sources
         if conditional and task.num_sources >= 2:

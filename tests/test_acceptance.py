@@ -7,7 +7,7 @@ criteria. Everything is seeded; reruns are bit-identical.
 
 import numpy as np
 import pytest
-from conftest import embedding_values, make_params, make_task
+from conftest import embedding_values, make_params, make_task, target_soft
 from oracles import naive_class_conditional_mmd
 
 from heteroadapt.cli import main as cli_main
@@ -20,14 +20,14 @@ from heteroadapt.experiments import (
 )
 from heteroadapt.model import (
     build_discriminator_objective,
-    build_transformer_objective,
     class_conditional_mmd,
     d_parameters,
+    embedding_pass,
     fg_parameters,
     replace_d,
     replace_fg,
-    soft_labels,
     source_weights,
+    transformer_objective,
 )
 from heteroadapt.numerics import Tape, grad_check
 from heteroadapt.training import TrainConfig, init_params, train
@@ -173,13 +173,13 @@ def test_c04_gradient_correctness():
     """Analytic gradients of both objectives match central differences,
     including the paths through the divergences and weights."""
     params, task = _gradcheck_setup()
-    soft = soft_labels(params, task.target_unlabeled.features, 0.01)
+    soft = target_soft(params, task.target_unlabeled.features)
 
     def fg_loss(tensors):
         rebuilt = replace_fg(params, tensors)
-        obj = build_transformer_objective(
-            rebuilt, task, beta=0.03, tau=0.004,
-            lg_norm="l1", weighting="conditional", soft=soft,
+        fwd = embedding_pass(rebuilt, task, weighting="conditional", soft=soft)
+        obj = transformer_objective(
+            fwd, rebuilt.discriminator, task, beta=0.03, tau=0.004, lg_norm="l1"
         )
         return obj.objective
 

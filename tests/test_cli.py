@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from heteroadapt.cli import build_parser, main, parse_dims, parse_seeds
-from heteroadapt.data import load_domain_file
+from heteroadapt.cli import (
+    _config_from_args,
+    _synth_spec_from_args,
+    build_parser,
+    main,
+    parse_dims,
+    parse_seeds,
+)
+from heteroadapt.data import SynthSpec, load_domain_file
+from heteroadapt.training import TrainConfig
 
 
 def run_cli(argv, capsys):
@@ -56,6 +64,14 @@ class TestParsing:
         assert (args.beta, args.tau, args.dc) == (0.03, 0.004, 256)
         assert (args.lr_fg, args.lr_d, args.iters) == (0.004, 0.001, 1000)
         assert args.lg == "l1" and args.weighting == "conditional"
+        assert _config_from_args(args) == TrainConfig()
+
+    def test_synth_defaults_mirror_spec(self):
+        spec = SynthSpec()
+        dims = ",".join(map(str, spec.source_dims)) + f",target={spec.target_dim}"
+        args = build_parser().parse_args(["synth", "--dims", dims, "--out", "o"])
+        built = _synth_spec_from_args(args, args.seed, standardize=not args.no_standardize)
+        assert built == spec
 
 
 class TestSynth:
@@ -213,6 +229,18 @@ class TestExperiment:
         assert len(agg) == 3  # header + 2 variants
         runs = (tmp_path / "runs.csv").read_text().splitlines()
         assert len(runs) == 5  # header + 2 variants x 2 seeds
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_before_writing(self, tmp_path, capsys, jobs):
+        out = tmp_path / "exp"
+        code, _, err = run_cli(
+            self._common(out, ["ablate", "--variants", "full", "--seeds", "0",
+                               "--jobs", jobs]),
+            capsys,
+        )
+        assert code != 0
+        assert err.startswith("error:") and "--jobs" in err
+        assert not out.exists()
 
     def test_unknown_variant_fails(self, tmp_path, capsys):
         code, _, err = run_cli(

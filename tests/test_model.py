@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import embedding_values, make_params, make_task, make_toy_task
+from conftest import (
+    embedding_values,
+    frozen_model,
+    make_params,
+    make_task,
+    make_toy_task,
+    target_soft,
+)
 from oracles import naive_class_conditional_mmd, naive_source_weights
 
 from heteroadapt.errors import ConfigError, ShapeError
@@ -15,34 +22,30 @@ from heteroadapt.model import (
     ModelParams,
     TransformerParams,
     build_discriminator_objective,
-    build_transformer_objective,
     class_conditional_mmd,
     classification_loss,
+    classifier_logits,
+    classify,
     consistency_loss,
     d_parameters,
     discriminate,
     domain_loss,
     embed_task,
+    embedding_pass,
     fg_parameters,
     lift_fg,
-    lift_params,
     replace_d,
     replace_fg,
-    soft_labels,
     source_weight_nodes,
     source_weights,
     transform,
     transform_values,
+    transformer_objective,
 )
-from heteroadapt.numerics import Tape, Tensor, grad_check, sum_sq
+from heteroadapt.numerics import Tape, Tensor, grad_check, softmax_values, sum_sq
 
 ID1 = Tensor([[1.0]])
 ZERO1 = Tensor([0.0])
-
-
-def onehots(domains):
-    """One one-hot label matrix per labeled domain."""
-    return [np.eye(d.num_classes)[d.labels] for d in domains]
 
 
 def identity_transformer():
@@ -78,6 +81,38 @@ class TestForward:
         t = TransformerParams(Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
         np.testing.assert_allclose(transform_values(t, x, slope), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.5])
+    def test_value_forward_bit_equals_tape_forward(self, slope, tied):
+        rng = np.random.default_rng(21)
+        params = make_params(rng, (3, 5), 4, tied=tied)
+        task = make_toy_task(rng)
+        tape = Tape()
+        model = frozen_model(tape, params)
+        emb = embed_task(model, tape, task, slope)
+        pairs = [*zip(params.sources, task.sources, emb.sources),
+                 (params.target, task.target_labeled, emb.target_labeled),
+                 (params.target, task.target_unlabeled, emb.target_unlabeled)]
+        for t, domain, node in pairs:
+            values = transform_values(t, domain.features, slope)
+            assert values.shape == node.shape and values.tobytes() == node.value.tobytes()
+            logits = classifier_logits(params, t, domain.features, slope)
+            want = classify(model, node).value
+            assert logits.shape == want.shape and logits.tobytes() == want.tobytes()
+
+        # a width mismatch raises the tape's ShapeError, message and all
+        x = np.ones((2, 3))  # the target expects 4 features
+        with pytest.raises(ShapeError) as on_tape:
+            transform(model.target, tape.constant(x), slope)
+        assert str(on_tape.value) == (
+            "matmul_affine dimensions disagree: x (2, 3), w (4, 4), b (4,)"
+        )
+        for value_forward in (lambda: transform_values(params.target, x, slope),
+                              lambda: classifier_logits(params, params.target, x, slope)):
+            with pytest.raises(ShapeError) as by_value:
+                value_forward()
+            assert str(by_value.value) == str(on_tape.value)
+
     def test_classify_is_affine(self):
         # 1-d: w=2, b=1, emb=3 -> 7, no nonlinearity applied
         params = ModelParams(
@@ -87,9 +122,7 @@ class TestForward:
             DiscriminatorParams(ID1, ZERO1, Tensor([[1.0, 0.0]]), Tensor([0.0, 0.0])),
         )
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
-        from heteroadapt.model import classify
-
+        model = frozen_model(tape, params)
         logits = classify(model, tape.constant([[3.0]]))
         np.testing.assert_array_equal(logits.value, [[7.0]])
 
@@ -115,7 +148,7 @@ class TestForward:
             ClassifierParams(ID1, ZERO1), disc,
         )
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         out = discriminate(model, tape.constant([[0.0], [1.0], [-5.0]]))
         np.testing.assert_allclose(
             out.value, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], atol=1e-15
@@ -131,7 +164,7 @@ class TestForward:
             ClassifierParams(ID1, ZERO1), disc,
         )
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         out = discriminate(model, tape.constant([[3.0], [-2.0]]))
         np.testing.assert_array_equal(out.value, np.zeros((2, 2)))
 
@@ -233,7 +266,7 @@ class TestConsistencyLoss:
             ),
         )
         tape = Tape()
-        return tape, lift_params(tape, params, train_fg=False, train_d=False)
+        return tape, frozen_model(tape, params)
 
     def test_identical_second_layers_give_zero(self):
         tape, model = self._pair(0.0)
@@ -266,7 +299,7 @@ class TestConsistencyLoss:
         vals = []
         for p in (params, permuted):
             tape = Tape()
-            model = lift_params(tape, p, train_fg=False, train_d=False)
+            model = frozen_model(tape, p)
             vals.append(float(consistency_loss(tape, model, "l1").value))
         assert vals[0] == pytest.approx(vals[1], rel=1e-14)
 
@@ -466,7 +499,7 @@ class TestDomainLoss:
             2,
         )
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         emb = embed_task(model, tape, task, 0.01)
         return model, emb
 
@@ -495,24 +528,23 @@ class TestClassificationLoss:
     def test_term_by_term_composition(self, toy_setup):
         params, task = toy_setup
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         emb = embed_task(model, tape, task, 0.01)
-        from heteroadapt.model import classify
         from heteroadapt.numerics import softmax_cross_entropy
 
         ce = [
-            float(softmax_cross_entropy(classify(model, e), y).value)
-            for e, y in zip(emb.sources, onehots(task.sources))
+            float(softmax_cross_entropy(classify(model, e), s.labels).value)
+            for e, s in zip(emb.sources, task.sources)
         ]
-        (onehot_t,) = onehots([task.target_labeled])
-        ce_t = float(softmax_cross_entropy(classify(model, emb.target_labeled), onehot_t).value)
+        labels_t = task.target_labeled.labels
+        ce_t = float(softmax_cross_entropy(classify(model, emb.target_labeled), labels_t).value)
         loss = classification_loss(model, emb, task, [0.5, 1.0], tau=0.0)
         assert float(loss.value) == pytest.approx(ce_t + 0.5 * ce[0] + 1.0 * ce[1], rel=1e-14)
 
     def test_regularizer_isolation(self, toy_setup):
         params, task = toy_setup
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         emb = embed_task(model, tape, task, 0.01)
         tau = 0.01
         base = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
@@ -527,7 +559,7 @@ class TestClassificationLoss:
         params = make_params(rng, (3, 5), 4, tied=True)
         task = make_toy_task(np.random.default_rng(13))
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         emb = embed_task(model, tape, task, 0.01)
         tau = 1.0
         base = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
@@ -543,8 +575,9 @@ class TestObjectives:
     def test_parts_sum_to_objective(self, toy_setup):
         params, task = toy_setup
         beta, tau = 0.03, 0.004
-        obj = build_transformer_objective(
-            params, task, beta=beta, tau=tau, lg_norm="l1", weighting="conditional"
+        fwd = embedding_pass(params, task, weighting="conditional")
+        obj = transformer_objective(
+            fwd, params.discriminator, task, beta=beta, tau=tau, lg_norm="l1"
         )
         total = float(obj.classification.value)
         total += float(obj.consistency.value)
@@ -553,36 +586,39 @@ class TestObjectives:
 
     def test_beta_zero_drops_adversarial_term(self, toy_setup):
         params, task = toy_setup
-        obj = build_transformer_objective(
-            params, task, beta=0.0, tau=0.004, lg_norm="l1", weighting="ones"
+        fwd = embedding_pass(params, task, weighting="ones")
+        obj = transformer_objective(
+            fwd, params.discriminator, task, beta=0.0, tau=0.004, lg_norm="l1"
         )
         expected = float(obj.classification.value) + float(obj.consistency.value)
         assert float(obj.objective.value) == pytest.approx(expected, rel=1e-14)
 
     def test_lg_off_and_ones_weighting(self, toy_setup):
         params, task = toy_setup
-        obj = build_transformer_objective(
-            params, task, beta=0.0, tau=0.0, lg_norm="off", weighting="ones"
+        fwd = embedding_pass(params, task, weighting="ones")
+        obj = transformer_objective(
+            fwd, params.discriminator, task, beta=0.0, tau=0.0, lg_norm="off"
         )
         assert obj.consistency is None
-        assert obj.deltas is None
-        assert obj.weights == [1.0, 1.0]
+        # constant weights, so no divergence feeds them; the divergences
+        # are still built for the trace
+        assert fwd.weights == [1.0, 1.0]
+        assert len(fwd.deltas) == 2
 
     def test_ones_weights_reduce_to_unweighted_forms(self, toy_setup):
         # the weighted losses with w == 1 equal their unweighted originals
         params, task = toy_setup
         tape = Tape()
-        model = lift_params(tape, params, train_fg=False, train_d=False)
+        model = frozen_model(tape, params)
         emb = embed_task(model, tape, task, 0.01)
-        from heteroadapt.model import classify
         from heteroadapt.numerics import softmax_cross_entropy, squared_error
-        from heteroadapt.model import domain_label_rows, discriminate
+        from heteroadapt.model import domain_label_rows
 
         weighted = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
-        (onehot_t,) = onehots([task.target_labeled])
-        plain = float(softmax_cross_entropy(classify(model, emb.target_labeled), onehot_t).value)
-        for e, y in zip(emb.sources, onehots(task.sources)):
-            plain += float(softmax_cross_entropy(classify(model, e), y).value)
+        labels_t = task.target_labeled.labels
+        plain = float(softmax_cross_entropy(classify(model, emb.target_labeled), labels_t).value)
+        for e, s in zip(emb.sources, task.sources):
+            plain += float(softmax_cross_entropy(classify(model, e), s.labels).value)
         assert weighted == pytest.approx(plain, rel=1e-14)
 
         weighted_d = float(domain_loss(model, emb, [1.0, 1.0], inverted=False).value)
@@ -609,13 +645,13 @@ class TestObjectives:
 
     def test_transformer_gradients_flow_through_weights(self, toy_setup):
         params, task = toy_setup
-        soft = soft_labels(params, task.target_unlabeled.features, 0.01)
+        soft = target_soft(params, task.target_unlabeled.features)
 
         def fn(tensors):
             rebuilt = replace_fg(params, tensors)
-            obj = build_transformer_objective(
-                rebuilt, task, beta=0.03, tau=0.004,
-                lg_norm="l1", weighting="conditional", soft=soft,
+            fwd = embedding_pass(rebuilt, task, weighting="conditional", soft=soft)
+            obj = transformer_objective(
+                fwd, rebuilt.discriminator, task, beta=0.03, tau=0.004, lg_norm="l1"
             )
             return obj.objective
 
@@ -636,15 +672,15 @@ class TestObjectives:
     def test_divergence_actually_influences_gradient(self, toy_setup):
         # removing weight nodes (ones ablation) must change transformer grads
         params, task = toy_setup
-        soft = soft_labels(params, task.target_unlabeled.features, 0.01)
+        soft = target_soft(params, task.target_unlabeled.features)
 
         def grads_for(weighting):
-            obj = build_transformer_objective(
-                params, task, beta=0.03, tau=0.0,
-                lg_norm="off", weighting=weighting, soft=soft,
+            fwd = embedding_pass(params, task, weighting=weighting, soft=soft)
+            obj = transformer_objective(
+                fwd, params.discriminator, task, beta=0.03, tau=0.0, lg_norm="off"
             )
             return np.concatenate(
-                [g.array.ravel() for g in obj.tape.backward(obj.objective)]
+                [g.array.ravel() for g in fwd.tape.backward(obj.objective)]
             )
 
         diff = np.abs(grads_for("conditional") - grads_for("ones")).max()
@@ -665,7 +701,7 @@ class TestSoftLabels:
                 Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
             ),
         )
-        out = soft_labels(params, np.ones((4, 2)), 0.01)
+        out = target_soft(params, np.ones((4, 2)))
         np.testing.assert_allclose(out, np.full((4, 3), 1.0 / 3.0), atol=1e-15)
 
     def test_saturated_logit_gives_near_onehot(self):
@@ -674,10 +710,10 @@ class TestSoftLabels:
             ClassifierParams(Tensor([[-500.0, 500.0]]), Tensor([0.0, 0.0])),
             DiscriminatorParams(ID1, ZERO1, Tensor([[1.0, 0.0]]), Tensor([0.0, 0.0])),
         )
-        out = soft_labels(params, [[1.0]], 0.01)
+        out = target_soft(params, [[1.0]])
         np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
 
     def test_rows_sum_to_one_with_random_params(self, toy_setup):
         params, task = toy_setup
-        out = soft_labels(params, task.target_unlabeled.features, 0.01)
+        out = softmax_values(embedding_pass(params, task).soft_logits.value)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)

@@ -117,34 +117,39 @@ class TestForwardOps:
 class TestLosses:
     def test_cross_entropy_uniform(self):
         tape = Tape()
-        loss = softmax_cross_entropy(tape.constant([[0.0, 0.0]]), [[1.0, 0.0]])
+        loss = softmax_cross_entropy(tape.constant([[0.0, 0.0]]), [0])
         assert loss.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_cross_entropy_saturated_no_overflow(self):
         tape = Tape()
-        loss = softmax_cross_entropy(tape.constant([[1000.0, 0.0]]), [[1.0, 0.0]])
+        loss = softmax_cross_entropy(tape.constant([[1000.0, 0.0]]), [0])
         assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_entropy_derived_value(self):
         # frozen from the direct evaluation log(e^1 + e^2 + e^3) - 3
         tape = Tape()
-        loss = softmax_cross_entropy(tape.constant([[1.0, 2.0, 3.0]]), [[0.0, 0.0, 1.0]])
+        loss = softmax_cross_entropy(tape.constant([[1.0, 2.0, 3.0]]), [2])
         assert float(loss.value) == pytest.approx(0.40760596444438013, abs=1e-14)
 
-    def test_cross_entropy_rejects_non_onehot(self):
+    def test_cross_entropy_rejects_bad_labels(self):
         tape = Tape()
-        with pytest.raises(ValueError, match="one-hot"):
-            softmax_cross_entropy(tape.constant([[0.0, 0.0]]), [[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(tape.constant([[0.0, 0.0]]), [[1.0, 1.0]])
+        logits = tape.constant([[0.0, 0.0], [1.0, 2.0]])
+        for labels in ([0], [0, 1, 1], [[0], [1]], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ShapeError, match=r"do not match logits \(2, 2\)"):
+                softmax_cross_entropy(logits, labels)
+        for labels in ([0.0, 1.0], [True, False]):
+            with pytest.raises(ValueError, match="must be integers"):
+                softmax_cross_entropy(logits, labels)
+        for labels in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+                softmax_cross_entropy(logits, labels)
 
     def test_cross_entropy_nonnegative_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n, c = rng.integers(1, 6), rng.integers(2, 5)
             z = rng.uniform(-4, 4, (n, c))
-            y = np.zeros((n, c))
-            y[np.arange(n), rng.integers(0, c, n)] = 1.0
+            y = rng.integers(0, c, n)
             tape = Tape()
             loss = softmax_cross_entropy(tape.constant(z), y)
             assert float(loss.value) >= 0.0
@@ -228,9 +233,9 @@ class TestBackward:
         w = tape.param(Tensor([[0.5], [1.5]]))
         b = tape.param(Tensor([0.1]))
         loss = sum_sq(relu(matmul_affine(x, w, b)))
-        assert loss.index == tape.num_nodes - 1
-        for i in range(tape.num_nodes):
-            assert all(p < i for p in tape.parents_of(i))
+        assert loss.index == len(tape._values) - 1
+        for i, parents in enumerate(tape._parents):
+            assert all(p < i for p in parents)
 
     def test_gradient_accumulates_over_shared_parameter(self):
         # loss = sum((x W + b)^2) + sum(W^2) touches W along two paths
@@ -246,8 +251,7 @@ class TestBackward:
     def test_composed_model_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-2, 2, (4, 3))
-        y = np.zeros((4, 2))
-        y[np.arange(4), rng.integers(0, 2, 4)] = 1.0
+        y = rng.integers(0, 2, 4)
         init = [
             Tensor(rng.uniform(-1, 1, (3, 5))),
             Tensor(rng.uniform(-0.5, 0.5, 5)),
@@ -453,8 +457,7 @@ class TestGradCheck:
     def test_two_layer_net_cross_entropy(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (5, 3))
-        y = np.zeros((5, 3))
-        y[np.arange(5), rng.integers(0, 3, 5)] = 1.0
+        y = rng.integers(0, 3, 5)
         init = [
             Tensor(rng.uniform(-1, 1, (3, 4))),
             Tensor(rng.uniform(-0.3, 0.3, 4)),

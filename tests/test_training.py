@@ -18,11 +18,11 @@ from heteroadapt.training import (
     TrainConfig,
     evaluate_accuracy,
     init_params,
-    predict_classes,
     train,
     train_step,
 )
 
+from conftest import target_soft
 from oracles import three_forward_train
 
 
@@ -158,8 +158,8 @@ class TestTrainStep:
 
     def test_recorded_divergences_match_objective_tape_bitwise(self):
         # the step records what its own tape computed, so a separately built
-        # objective from the same parameters agrees exactly
-        from heteroadapt.model import build_transformer_objective, embedding_pass, soft_labels
+        # embedding pass from the same parameters agrees exactly
+        from heteroadapt.model import embedding_pass
         from heteroadapt.numerics import softmax_values
 
         task = tiny_task()
@@ -169,38 +169,39 @@ class TestTrainStep:
             params, Adam(fg_parameters(params), config.lr_fg),
             Adam(d_parameters(params), config.lr_d), task, config,
         )
-        obj = build_transformer_objective(
-            params, task, beta=config.beta, tau=config.tau,
-            lg_norm=config.lg_norm, weighting=config.weighting,
-            slope=config.leaky_slope,
-        )
-        tape_deltas = np.array([float(d.value) for d in obj.deltas])
-        tape_weights = np.array([float(w.value) for w in obj.weights])
+        fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
+        tape_deltas = np.array([float(d.value) for d in fwd.deltas])
+        tape_weights = np.array([float(w.value) for w in fwd.weights])
         assert np.array_equal(np.array(deltas), tape_deltas)
         assert np.array_equal(np.array(weights), tape_weights)
-        fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
         np.testing.assert_array_equal(
             softmax_values(fwd.soft_logits.value),
-            soft_labels(params, task.target_unlabeled.features, config.leaky_slope),
+            target_soft(params, task.target_unlabeled.features, config.leaky_slope),
         )
 
     def test_one_transformer_forward_per_domain_per_step(self, monkeypatch):
-        # K sources + labeled + unlabeled target once per step, plus one
-        # evaluation (K sources + unlabeled target) after the last step
+        # K sources + labeled + unlabeled target once per step on the tape,
+        # plus one value-only evaluation (K sources + unlabeled target)
+        # after the last step
         import heteroadapt.model as model
 
-        calls = []
-        real_transform = model.transform
+        calls = {"transform": 0, "transform_values": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_transform(*args, **kwargs)
+        def counting(name):
+            real = getattr(model, name)
 
-        monkeypatch.setattr(model, "transform", counting)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(model, name, counting(name))
         task = tiny_task()
         train(task, tiny_config(iterations=3))
         k = task.num_sources
-        assert len(calls) == 3 * (k + 2) + (k + 1)
+        assert calls["transform"] == 3 * (k + 2)
+        assert calls["transform_values"] == k + 1
 
 
 @pytest.mark.parametrize(
@@ -308,19 +309,27 @@ class TestEvaluate:
     def test_tie_breaks_to_lowest_class(self):
         params = self._fixed_params()
         # h = 0 gives logits [0, 0]: argmax tie resolves to class 0
-        assert predict_classes(params, [[0.0]], 0.01)[0] == 0
+        assert evaluate_accuracy(params, [[0.0]], [0]) == 1.0
+        assert evaluate_accuracy(params, [[0.0]], [1]) == 0.0
 
     def test_monotone_transform_invariance(self):
         params = self._fixed_params()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 1))
-        base = predict_classes(params, x, 0.01)
-        # any strictly monotone transform of all class scores keeps the argmax
+        # any strictly monotone transform of all class scores keeps the
+        # argmax, so evaluation predicts exactly the transformed argmax
         from heteroadapt.model import classifier_logits
 
         logits = classifier_logits(params, params.target, x, 0.01)
         transformed = np.argmax(3.0 * logits + 7.0, axis=1)
-        np.testing.assert_array_equal(base, transformed)
+        assert evaluate_accuracy(params, x, transformed) == 1.0
+
+    @pytest.mark.parametrize("labels", [[0], [[0], [0], [0]], [0, 0, 0, 0]],
+                             ids=["one-label", "column", "too-many"])
+    def test_labels_must_be_one_per_row(self, labels):
+        x = [[1.0], [2.0], [3.0]]
+        with pytest.raises(ShapeError, match=r"labels have shape .*expected \(3,\)"):
+            evaluate_accuracy(self._fixed_params(), x, labels)
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
