@@ -101,36 +101,26 @@ def _config_entries(config: TrainConfig) -> dict:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per `TrainConfig` field, stored under the field's name."""
     cfg = TrainConfig()
     parser.add_argument("--beta", type=float, default=cfg.beta)
     parser.add_argument("--tau", type=float, default=cfg.tau)
-    parser.add_argument("--dc", type=int, default=cfg.d_c, help="shared subspace width")
+    parser.add_argument("--dc", dest="d_c", type=int, default=cfg.d_c,
+                        help="shared subspace width")
     parser.add_argument("--hidden", type=int, default=cfg.hidden)
     parser.add_argument("--lr-fg", type=float, default=cfg.lr_fg)
     parser.add_argument("--lr-d", type=float, default=cfg.lr_d)
-    parser.add_argument("--iters", type=int, default=cfg.iterations)
+    parser.add_argument("--iters", dest="iterations", type=int, default=cfg.iterations)
     parser.add_argument("--seed", type=int, default=cfg.seed)
-    parser.add_argument("--lg", choices=LG_NORMS, default=cfg.lg_norm)
+    parser.add_argument("--lg", dest="lg_norm", choices=LG_NORMS, default=cfg.lg_norm)
     parser.add_argument("--weighting", choices=WEIGHTINGS, default=cfg.weighting)
     parser.add_argument("--leaky-slope", type=float, default=cfg.leaky_slope)
 
 
 def _config_from_args(args) -> TrainConfig:
-    if args.iters < 1:  # a run without iterations has no trace to write
-        raise ConfigError(f"--iters must be at least 1, got {args.iters}")
-    config = TrainConfig(
-        beta=args.beta,
-        tau=args.tau,
-        d_c=args.dc,
-        hidden=args.hidden,
-        lr_fg=args.lr_fg,
-        lr_d=args.lr_d,
-        iterations=args.iters,
-        seed=args.seed,
-        lg_norm=args.lg,
-        weighting=args.weighting,
-        leaky_slope=args.leaky_slope,
-    )
+    if args.iterations < 1:  # a run without iterations has no trace to write
+        raise ConfigError(f"--iters must be at least 1, got {args.iterations}")
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     config.validate()
     return config
 
@@ -145,10 +135,12 @@ def _out_dir(args) -> Path:
 
 
 def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    """The synthetic-data knobs shared by `synth` and `experiment sweep`."""
+    """The synthetic-data knobs shared by `synth` and `experiment sweep`,
+    stored under their `SynthSpec` field names."""
     spec = SynthSpec()
     parser.add_argument("--classes", type=int, default=spec.classes)
-    parser.add_argument("--per-class", type=int, default=spec.samples_per_class)
+    parser.add_argument("--per-class", dest="samples_per_class", type=int,
+                        default=spec.samples_per_class)
     parser.add_argument("--latent-dim", type=int, default=spec.latent_dim)
     parser.add_argument("--target-labeled-per-class", type=int,
                         default=spec.target_labeled_per_class)
@@ -159,19 +151,10 @@ def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
 
 def _synth_spec_from_args(args, seed: int, standardize: bool = True) -> SynthSpec:
     source_dims, target_dim = parse_dims(args.dims)
-    return SynthSpec(
-        source_dims=source_dims,
-        target_dim=target_dim,
-        classes=args.classes,
-        latent_dim=args.latent_dim,
-        samples_per_class=args.per_class,
-        target_labeled_per_class=args.target_labeled_per_class,
-        target_unlabeled=args.target_unlabeled,
-        spread=args.spread,
-        noise=args.noise,
-        seed=seed,
-        standardize=standardize,
-    )
+    given = dict(source_dims=source_dims, target_dim=target_dim, seed=seed,
+                 standardize=standardize)
+    flags = {f.name: getattr(args, f.name) for f in fields(SynthSpec) if f.name not in given}
+    return SynthSpec(**given, **flags)
 
 
 def cmd_synth(args) -> int:
@@ -273,8 +256,6 @@ def cmd_train(args) -> int:
 
 def _experiment_task(args) -> tuple[MultiSourceTask, dict]:
     if args.source:
-        if not args.target:
-            raise ConfigError("--target is required when --source files are given")
         return _load_task(args)
     task = default_task(seed=args.task_seed)
     return task, {"data": f"builtin synthetic default task (seed {args.task_seed})"}
@@ -286,6 +267,10 @@ def cmd_experiment(args) -> int:
     seeds = parse_seeds(args.seeds)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.mode == "sweep" and (args.source or args.target):
+        raise ConfigError("sweep generates its own tasks; --source and --target do not apply")
+    if bool(args.source) != bool(args.target):
+        raise ConfigError("--source and --target must be given together")
     out = _out_dir(args)
     entries = {
         "command": f"experiment {args.mode}",

@@ -10,7 +10,7 @@ sample, label -1 meaning unlabeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +150,10 @@ class SynthSpec:
     standardize: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.latent_dim < 1 or self.classes < 1:
             raise ConfigError("latent dimension and class count must be positive")
         for d in (*self.source_dims, self.target_dim):

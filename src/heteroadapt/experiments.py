@@ -84,25 +84,21 @@ def plain_supervised_train(
     params: ModelParams,
     task: MultiSourceTask,
     config: TrainConfig,
-    *,
-    include_sources: bool = True,
 ) -> tuple[list[float], ModelParams]:
     """Hand-rolled supervised training of the transformers plus classifier.
 
-    Per-domain mean cross-entropy on the labeled data (sources optional),
-    plus the squared penalty on classifier and transformer weight
-    matrices. Gradients are derived manually and applied with a local Adam
-    implementation; nothing here goes through the gradient tape. Returns
-    the per-iteration loss values and the final parameters (discriminator
-    untouched).
+    Per-domain mean cross-entropy on every source and the labeled target
+    (a task without sources trains the target alone), plus the squared
+    penalty on classifier and transformer weight matrices. Gradients are
+    derived manually and applied with a local Adam implementation; nothing
+    here goes through the gradient tape. Returns the per-iteration loss
+    values and the final parameters (discriminator untouched).
     """
     if params.tied_second:
         raise ConfigError("the plain trainer does not support tied second layers")
     slope, tau = config.leaky_slope, config.tau
-    domains = []
-    if include_sources:
-        for k, s in enumerate(task.sources):
-            domains.append((k, s.features.array, _one_hot(s.labels, task.num_classes)))
+    domains = [(k, s.features.array, _one_hot(s.labels, task.num_classes))
+               for k, s in enumerate(task.sources)]
     domains.append(
         (None, task.target_labeled.features.array,
          _one_hot(task.target_labeled.labels, task.num_classes))
@@ -186,12 +182,8 @@ def plain_supervised_train(
         w1, bias1, w2, bias2 = nets[key]
         return TransformerParams(Tensor(w1), Tensor(bias1), Tensor(w2), Tensor(bias2))
 
-    new_sources = list(params.sources)
-    if include_sources:
-        for k in range(len(task.sources)):
-            new_sources[k] = as_transformer(k)
     final = ModelParams(
-        tuple(new_sources),
+        tuple(as_transformer(k) for k in range(task.num_sources)),
         as_transformer("target"),
         ClassifierParams(Tensor(cls[0]), Tensor(cls[1])),
         params.discriminator,
@@ -202,19 +194,11 @@ def plain_supervised_train(
 # -- baselines -------------------------------------------------------------------
 
 
-def _nnt_single(task: MultiSourceTask, config: TrainConfig) -> float:
-    """Target-only supervised run; source domains are discarded entirely."""
-    stripped = replace(task, sources=())
-    params = init_params(stripped, config)
-    _, final = plain_supervised_train(params, stripped, config, include_sources=False)
-    return evaluate_accuracy(
-        final, task.target_unlabeled.features, task.eval_labels, config.leaky_slope
-    )
-
-
-def _nnst_single(task: MultiSourceTask, config: TrainConfig) -> float:
+def _supervised_single(task: MultiSourceTask, config: TrainConfig) -> float:
+    """Supervised run on every labeled domain of `task`, scored on its
+    unlabeled target; NNt passes the task with its sources stripped."""
     params = init_params(task, config)
-    _, final = plain_supervised_train(params, task, config, include_sources=True)
+    _, final = plain_supervised_train(params, task, config)
     return evaluate_accuracy(
         final, task.target_unlabeled.features, task.eval_labels, config.leaky_slope
     )
@@ -224,7 +208,9 @@ def run_baseline_nnt(task: MultiSourceTask, config: TrainConfig,
                      seeds=None, jobs: int = 1) -> RunSummary:
     """Train on labeled target samples only; no transfer of any kind."""
     seeds = tuple(seeds) if seeds is not None else (config.seed,)
-    accs = _map_jobs(lambda s: _nnt_single(task, replace(config, seed=s)), seeds, jobs)
+    target_only = replace(task, sources=())
+    accs = _map_jobs(lambda s: _supervised_single(target_only, replace(config, seed=s)),
+                     seeds, jobs)
     return summarize("nnt", seeds, accs)
 
 
@@ -232,7 +218,7 @@ def run_baseline_nnst(task: MultiSourceTask, config: TrainConfig,
                       seeds=None, jobs: int = 1) -> RunSummary:
     """Supervised training on all labeled samples mapped into the subspace."""
     seeds = tuple(seeds) if seeds is not None else (config.seed,)
-    accs = _map_jobs(lambda s: _nnst_single(task, replace(config, seed=s)), seeds, jobs)
+    accs = _map_jobs(lambda s: _supervised_single(task, replace(config, seed=s)), seeds, jobs)
     return summarize("nnst", seeds, accs)
 
 
@@ -321,8 +307,8 @@ def run_source_sweep(spec: SynthSpec, ns_values, seeds, config: TrainConfig,
         ns, seed = item
         task = synthetic_task(replace(spec, seed=seed), num_sources=ns, split_seed=seed)
         cfg = replace(config, seed=seed)
-        if ns == 0:
-            return _nnt_single(task, cfg)
+        if ns == 0:  # the task has no sources: the target-only baseline
+            return _supervised_single(task, cfg)
         return train(task, cfg).final_accuracy
 
     out = []

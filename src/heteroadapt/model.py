@@ -431,19 +431,10 @@ def classification_loss(
     """Weighted source cross-entropy, labeled-target cross-entropy, and an
     optional squared penalty on classifier/transformer weight matrices
     (biases and the discriminator are never regularized)."""
-    return _classification(model, emb, task, weights, tau)[0]
-
-
-def _classification(model, emb, task, weights, tau) -> tuple[Node, list[Node]]:
-    """`classification_loss` plus the per-source logit nodes it builds."""
-    target_ce = softmax_cross_entropy(classify(model, emb.target_labeled),
-                                      task.target_labeled.labels)
-    total = target_ce
-    source_logits = []
+    total = softmax_cross_entropy(classify(model, emb.target_labeled),
+                                  task.target_labeled.labels)
     for w_k, emb_k, source in zip(weights, emb.sources, task.sources):
-        logits = classify(model, emb_k)
-        source_logits.append(logits)
-        total = total + w_k * softmax_cross_entropy(logits, source.labels)
+        total = total + w_k * softmax_cross_entropy(classify(model, emb_k), source.labels)
     if tau > 0.0:
         seen: set[int] = set()
         penalty = None
@@ -454,7 +445,7 @@ def _classification(model, emb, task, weights, tau) -> tuple[Node, list[Node]]:
             seen.add(node.index)
             penalty = sum_sq(node) if penalty is None else penalty + sum_sq(node)
         total = total + tau * penalty
-    return total, source_logits
+    return total
 
 
 def domain_loss(
@@ -513,7 +504,6 @@ class TransformerObjective:
     classification: Node
     consistency: Node | None
     inverted_domain: Node
-    source_logits: list[Node]
 
 
 def divergence_nodes(
@@ -588,7 +578,7 @@ def transformer_objective(
         raise ConfigError(f"lg_norm must be one of l1/l2/off/tied, got {lg_norm!r}")
     tape, emb, weights = fwd.tape, fwd.emb, fwd.weights
     model = lift_discriminator(tape, fwd.model, discriminator, trainable=False)
-    cls, source_logits = _classification(model, emb, task, weights, tau)
+    cls = classification_loss(model, emb, task, weights, tau)
     cons = None
     if lg_norm in ("l1", "l2") and task.num_sources >= 1:
         cons = consistency_loss(tape, model, lg_norm)
@@ -599,7 +589,7 @@ def transformer_objective(
         objective = objective + cons
     if beta > 0.0:
         objective = objective + beta * inv
-    return TransformerObjective(objective, cls, cons, inv, source_logits)
+    return TransformerObjective(objective, cls, cons, inv)
 
 
 def build_discriminator_objective(

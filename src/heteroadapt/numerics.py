@@ -43,11 +43,8 @@ class Tensor:
 
     __slots__ = ("array",)
 
-    def __init__(self, values, shape: Sequence[int] | None = None):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if shape is not None:
-            arr = arr.reshape(tuple(shape))
-        self.array = _validated(arr)
+    def __init__(self, values):
+        self.array = _validated(np.array(values, dtype=np.float64, order="C"))
 
     @classmethod
     def _adopt(cls, arr: Array) -> "Tensor":

@@ -20,18 +20,18 @@ transformer on it once; everything else is read off that tape's values:
 `Tape.backward` sums gradient contributions into a shared embedding node
 in reverse tape order, so the node order above is part of the numerics:
 the source logits are built by the classification loss, after the
-divergences, and evaluation reads them there rather than building them
-earlier.
+divergences.
 
 Evaluation costs no forward of its own: iteration i+1 starts from the
-parameters step i produced and runs the same op sequence an evaluation
-would, so iteration i's accuracies are read from iteration i+1's soft-label
-and source logits. Only the last iteration is evaluated separately.
+parameters step i produced and classifies the unlabeled target exactly as
+an evaluation would, so iteration i's target accuracy is read from
+iteration i+1's soft-label logits. Only the last iteration is evaluated
+separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.beta < 0 or self.tau < 0:
             raise ConfigError("beta and tau must be non-negative")
         if self.d_c < 1 or self.hidden < 1:
@@ -99,7 +103,6 @@ class IterationRecord:
     loss_d: float
     deltas: tuple[float, ...]
     weights: tuple[float, ...]
-    source_accuracy: tuple[float, ...]
     target_accuracy: float
 
 
@@ -148,15 +151,13 @@ def init_params(task: MultiSourceTask, config: TrainConfig) -> ModelParams:
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_accuracy(params: ModelParams, features, labels, slope: float = 0.01,
-                      transformer: TransformerParams | None = None) -> float:
-    """Share of rows whose argmax class (ties to the lowest index) is the
-    row's label; `labels` holds one class per row of `features`."""
+def evaluate_accuracy(params: ModelParams, features, labels, slope: float = 0.01) -> float:
+    """Share of target rows whose argmax class (ties to the lowest index)
+    is the row's label; `labels` holds one class per row of `features`."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ConfigError("evaluation set is empty")
-    t = params.target if transformer is None else transformer
-    logits = classifier_logits(params, t, features, slope)
+    logits = classifier_logits(params, params.target, features, slope)
     if labels.shape != logits.shape[:1]:
         raise ShapeError(f"evaluation labels have shape {labels.shape}, expected ({len(logits)},)")
     return _hit_rate(logits, labels)
@@ -164,17 +165,6 @@ def evaluate_accuracy(params: ModelParams, features, labels, slope: float = 0.01
 
 def _hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
-def _accuracies(params: ModelParams, task: MultiSourceTask, slope: float):
-    source_acc = tuple(
-        evaluate_accuracy(params, s.features, s.labels, slope, params.sources[k])
-        for k, s in enumerate(task.sources)
-    )
-    target_acc = evaluate_accuracy(
-        params, task.target_unlabeled.features, task.eval_labels, slope
-    )
-    return source_acc, target_acc
 
 
 # -- one iteration ----------------------------------------------------------------
@@ -186,10 +176,9 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     transformer/classifier step (order in the module docstring).
 
     Returns the updated parameters, the loss/weighting scalars recorded for
-    the trace, and the (source, target) accuracies of the parameters the
-    step *started from*, read off its forward: per-source accuracy from the
-    classification-loss logits, target accuracy on the unlabeled split
-    against `task.eval_labels` from the soft-label logits.
+    the trace, and the target accuracy of the parameters the step *started
+    from*: the soft-label logits of its forward scored on the unlabeled
+    split against `task.eval_labels`.
     """
     fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
     deltas = tuple(float(d.value) for d in fwd.deltas)
@@ -211,15 +200,11 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     fg_grads = fwd.tape.backward(obj.objective)
     params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
 
-    source_acc = tuple(
-        _hit_rate(z.value, s.labels) for z, s in zip(obj.source_logits, task.sources)
-    )
     target_acc = _hit_rate(fwd.soft_logits.value, task.eval_labels)
     loss_fg = float(obj.classification.value)
     loss_lg = 0.0 if obj.consistency is None else float(obj.consistency.value)
     loss_dg_inv = float(obj.inverted_domain.value)
-    return (params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights,
-            (source_acc, target_acc))
+    return params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights, target_acc
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -247,9 +232,9 @@ def train(task: MultiSourceTask, config: TrainConfig,
     """Run full-batch alternating training and record every iteration.
 
     One `train_step` per iteration; each step's forward also evaluates the
-    parameters the previous step produced, so iteration i's accuracies are
-    filled in by step i+1, and one trailing evaluation covers the last
-    step. Identical (task, config, params) inputs produce bit-identical
+    parameters the previous step produced, so iteration i's target
+    accuracy is filled in by step i+1, and one trailing evaluation of the
+    unlabeled target covers the last step. Identical (task, config, params) inputs produce bit-identical
     traces.
     """
     config.validate()
@@ -259,16 +244,18 @@ def train(task: MultiSourceTask, config: TrainConfig,
     opt_fg = Adam(fg_parameters(params), config.lr_fg)
     opt_d = Adam(d_parameters(params), config.lr_d)
     trace = TrainTrace()
-    pending = None  # the previous step's record fields, awaiting its accuracies
+    pending = None  # the previous step's record fields, awaiting its accuracy
     for it in range(config.iterations):
         params, losses, deltas, weights, accuracy = train_step(
             params, opt_fg, opt_d, task, config
         )
         if pending is not None:
-            trace.records.append(IterationRecord(it - 1, *pending, *accuracy))
+            trace.records.append(IterationRecord(it - 1, *pending, accuracy))
         pending = (*losses, deltas, weights)
     if pending is not None:
-        accuracy = _accuracies(params, task, config.leaky_slope)
-        trace.records.append(IterationRecord(config.iterations - 1, *pending, *accuracy))
+        accuracy = evaluate_accuracy(
+            params, task.target_unlabeled.features, task.eval_labels, config.leaky_slope
+        )
+        trace.records.append(IterationRecord(config.iterations - 1, *pending, accuracy))
     trace.final_params = params
     return trace

@@ -70,10 +70,10 @@ def three_forward_train(task, config):
     Unlike the oracles above this reuses the package's building blocks
     (layers, losses, Adam); what it keeps independent is the loop's
     structure. Each iteration pushes every domain through its transformer
-    three times: a constant-tape weighting pass (soft labels, divergences,
-    value-path weights), a separate transformer-objective tape built in its
-    old node order, and an evaluation forward after the step. Returns the
-    records and the final parameters.
+    twice, a constant-tape weighting pass (soft labels, divergences,
+    value-path weights) and a separate transformer-objective tape built in
+    its old node order, and evaluates the unlabeled target after the step.
+    Returns the records and the final parameters.
     """
     from heteroadapt.model import (
         build_discriminator_objective,
@@ -144,10 +144,6 @@ def three_forward_train(task, config):
         params = replace_fg(params, opt_fg.step(fg_parameters(params), grads))
 
         # forward 3: evaluation of the updated parameters
-        source_acc = tuple(
-            evaluate_accuracy(params, s.features, s.labels, slope, params.sources[k])
-            for k, s in enumerate(task.sources)
-        )
         target_acc = evaluate_accuracy(
             params, task.target_unlabeled.features, task.eval_labels, slope
         )
@@ -155,6 +151,6 @@ def three_forward_train(task, config):
             it, float(cls.value), 0.0 if cons is None else float(cons.value),
             float(inv.value), loss_d,
             tuple(float(d) for d in deltas), tuple(float(w) for w in weights),
-            source_acc, target_acc,
+            target_acc,
         ))
     return records, params

@@ -3,9 +3,12 @@
 `benchmarks/selftest.py` drives every workload at tiny sizes through the
 names and keywords the harness calls (`training.train`, `jobs=1`,
 `keep_traces=True`, `cli.write_trace_csv`, ...), so a package change that
-breaks one fails here rather than only when the benchmark runs.
+breaks one fails here rather than only when the benchmark runs. The names
+whose per-layer metrics the benchmark reports are checked the same way.
 """
 
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +22,41 @@ def test_benchmark_selftest_passes():
         cwd=BENCHMARKS, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
+
+
+# Names the benchmark still reports although the package deleted them; the
+# tracer marks them `absent` and their metrics read 0.
+KNOWN_ABSENT = {"model.build_transformer_objective", "training.iteration_state"}
+
+
+def _traced_names() -> tuple[str, ...]:
+    """`EXPECTED` from `benchmarks/run.py`, evaluated from its source alone:
+    importing the script would pin BLAS threads in this process."""
+    tree = ast.parse((BENCHMARKS / "run.py").read_text(encoding="utf-8"))
+    values = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("OPS", "WORKLOAD_ONLY"):
+                values[name] = ast.literal_eval(node.value)
+            elif name == "EXPECTED":
+                expected = node.value
+    return eval(compile(ast.Expression(expected), "run.py", "eval"), values)
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # a deleted or renamed function would otherwise read as a per-layer
+    # metric of 0 rather than fail
+    names = _traced_names()
+    assert len(names) > len(KNOWN_ABSENT)
+    missing = []
+    for name in names:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"heteroadapt.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if len(path) == 1 and getattr(obj, "__module__", None) != f"heteroadapt.{module}":
+            obj = None  # the tracer wraps only functions a module defines itself
+        if obj is None:
+            missing.append(name)
+    assert set(missing) <= KNOWN_ABSENT, sorted(set(missing) - KNOWN_ABSENT)

@@ -61,10 +61,39 @@ class TestParsing:
         args = parser.parse_args(
             ["train", "--source", "s.txt", "--target", "t.txt", "--out", "o"]
         )
-        assert (args.beta, args.tau, args.dc) == (0.03, 0.004, 256)
-        assert (args.lr_fg, args.lr_d, args.iters) == (0.004, 0.001, 1000)
-        assert args.lg == "l1" and args.weighting == "conditional"
+        assert (args.beta, args.tau, args.d_c) == (0.03, 0.004, 256)
+        assert (args.lr_fg, args.lr_d, args.iterations) == (0.004, 0.001, 1000)
+        assert args.lg_norm == "l1" and args.weighting == "conditional"
         assert _config_from_args(args) == TrainConfig()
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_every_model_flag_reaches_its_field(self, command):
+        # every value differs from its default and from the other fields',
+        # so a flag stored under the wrong field cannot go unnoticed
+        flags = ["--beta", "0.5", "--tau", "0.25", "--dc", "7", "--hidden", "9",
+                 "--lr-fg", "0.125", "--lr-d", "0.0625", "--iters", "11",
+                 "--seed", "13", "--lg", "l2", "--weighting", "ones",
+                 "--leaky-slope", "0.2"]
+        head = (["train", "--source", "s.txt", "--target", "t.txt"] if command == "train"
+                else ["experiment", "ablate"])
+        args = build_parser().parse_args([*head, *flags, "--out", "o"])
+        assert _config_from_args(args) == TrainConfig(
+            beta=0.5, tau=0.25, d_c=7, hidden=9, lr_fg=0.125, lr_d=0.0625,
+            iterations=11, seed=13, lg_norm="l2", weighting="ones", leaky_slope=0.2,
+        )
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_every_synth_flag_reaches_its_field(self, command):
+        flags = ["--dims", "12,14:22:4,target=16", "--classes", "4", "--per-class", "17",
+                 "--latent-dim", "6", "--target-labeled-per-class", "2",
+                 "--target-unlabeled", "21", "--spread", "0.75", "--noise", "0.3"]
+        head = ["synth"] if command == "synth" else ["experiment", "sweep"]
+        args = build_parser().parse_args([*head, *flags, "--out", "o"])
+        assert _synth_spec_from_args(args, 5, standardize=False) == SynthSpec(
+            source_dims=(12, 14, 18, 22), target_dim=16, classes=4, latent_dim=6,
+            samples_per_class=17, target_labeled_per_class=2, target_unlabeled=21,
+            spread=0.75, noise=0.3, seed=5, standardize=False,
+        )
 
     def test_synth_defaults_mirror_spec(self):
         spec = SynthSpec()
@@ -187,6 +216,21 @@ class TestTrain:
         assert code != 0
         assert err.startswith("error:") and "classes" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--tau", "nan"), ("--lr-fg", "nan"), ("--lr-d", "inf"),
+        ("--leaky-slope", "nan"),
+    ])
+    def test_non_finite_hyperparameter_rejected_before_writing(self, tmp_path, capsys,
+                                                               flag, value):
+        data = tmp_path / "data"
+        synth_tiny(data, capsys)
+        args = self._train_args(data, tmp_path / "run", extra=[flag, value])
+        code, _, err = run_cli(args, capsys)
+        assert code != 0
+        field = flag[2:].replace("-", "_")
+        assert err.startswith("error:") and f"{field} must be finite" in err
+        assert not (tmp_path / "run").exists()
+
     def test_zero_iterations_rejected_before_writing(self, tmp_path, capsys):
         data = tmp_path / "data"
         synth_tiny(data, capsys)
@@ -240,6 +284,20 @@ class TestExperiment:
         )
         assert code != 0
         assert err.startswith("error:") and "--jobs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, files", [
+        ("ablate", ["--target", "t.txt"]),
+        ("noise", ["--source", "s.txt"]),
+        ("sweep", ["--source", "missing.txt", "--target", "missing.txt"]),
+        ("sweep", ["--target", "missing.txt"]),
+    ])
+    def test_domain_files_that_would_be_ignored_are_rejected(self, tmp_path, capsys,
+                                                             mode, files):
+        out = tmp_path / "exp"
+        code, _, err = run_cli(self._common(out, [mode, "--seeds", "0", *files]), capsys)
+        assert code != 0
+        assert err.startswith("error:") and "--source" in err and "--target" in err
         assert not out.exists()
 
     def test_unknown_variant_fails(self, tmp_path, capsys):

@@ -152,6 +152,12 @@ class TestSyntheticGeneration:
         assert [d.dim for d in domains] == [*range(100, 1001, 100), 2000]
         assert all(d.num_classes == 3 for d in domains)
 
+    @pytest.mark.parametrize("name", ["spread", "noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SynthSpec(**{name: value})
+
     def test_dimension_below_latent_rejected(self):
         with pytest.raises(ConfigError, match="latent"):
             generate_synthetic_domains(small_spec(source_dims=(5, 14), latent_dim=10))
