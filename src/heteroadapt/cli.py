@@ -134,19 +134,21 @@ def _out_dir(args) -> Path:
 # -- synth ---------------------------------------------------------------------
 
 
-def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
+def _add_synth_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     """The synthetic-data knobs shared by `synth` and `experiment sweep`,
-    stored under their `SynthSpec` field names."""
+    stored under their `SynthSpec` field names; returns their actions."""
     spec = SynthSpec()
-    parser.add_argument("--classes", type=int, default=spec.classes)
-    parser.add_argument("--per-class", dest="samples_per_class", type=int,
-                        default=spec.samples_per_class)
-    parser.add_argument("--latent-dim", type=int, default=spec.latent_dim)
-    parser.add_argument("--target-labeled-per-class", type=int,
-                        default=spec.target_labeled_per_class)
-    parser.add_argument("--target-unlabeled", type=int, default=spec.target_unlabeled)
-    parser.add_argument("--spread", type=float, default=spec.spread)
-    parser.add_argument("--noise", type=float, default=spec.noise)
+    return [
+        parser.add_argument("--classes", type=int, default=spec.classes),
+        parser.add_argument("--per-class", dest="samples_per_class", type=int,
+                            default=spec.samples_per_class),
+        parser.add_argument("--latent-dim", type=int, default=spec.latent_dim),
+        parser.add_argument("--target-labeled-per-class", type=int,
+                            default=spec.target_labeled_per_class),
+        parser.add_argument("--target-unlabeled", type=int, default=spec.target_unlabeled),
+        parser.add_argument("--spread", type=float, default=spec.spread),
+        parser.add_argument("--noise", type=float, default=spec.noise),
+    ]
 
 
 def _synth_spec_from_args(args, seed: int, standardize: bool = True) -> SynthSpec:
@@ -261,6 +263,20 @@ def _experiment_task(args) -> tuple[MultiSourceTask, dict]:
     return task, {"data": f"builtin synthetic default task (seed {args.task_seed})"}
 
 
+def _ignored_flags(args) -> list[str]:
+    """The flags `args.mode` does not read that are set away from their defaults.
+
+    `args.readers` maps each run kind to the flags only it reads: a mode,
+    then `files` (ablate or noise with --source) or `builtin` (without).
+    """
+    kind = "sweep" if args.mode == "sweep" else "files" if args.source else "builtin"
+    read = {a.dest for a in args.readers[args.mode] + args.readers[kind]}
+    return list(dict.fromkeys(
+        a.option_strings[0] for group in args.readers.values() for a in group
+        if a.dest not in read and getattr(args, a.dest) != a.default
+    ))
+
+
 def cmd_experiment(args) -> int:
     started = time.time()
     config = _config_from_args(args)
@@ -271,6 +287,9 @@ def cmd_experiment(args) -> int:
         raise ConfigError("sweep generates its own tasks; --source and --target do not apply")
     if bool(args.source) != bool(args.target):
         raise ConfigError("--source and --target must be given together")
+    ignored = _ignored_flags(args)
+    if ignored:
+        raise ConfigError(f"experiment {args.mode} does not read {', '.join(ignored)}")
     out = _out_dir(args)
     entries = {
         "command": f"experiment {args.mode}",
@@ -354,17 +373,20 @@ def build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run ablations, noise detection, or sweeps")
     exp.add_argument("mode", choices=["ablate", "noise", "sweep"])
     exp.add_argument("--seeds", default="0..9")
-    exp.add_argument("--variants", default=",".join(sorted(ABLATION_VARIANTS)))
-    exp.add_argument("--ns", default="0,2,4,6,8,10")
-    exp.add_argument("--noise-dim", type=int, default=20)
     exp.add_argument("--jobs", type=int, default=1)
-    exp.add_argument("--source", action="append", default=[])
-    exp.add_argument("--target")
-    exp.add_argument("--labeled-per-class", type=int, default=3)
-    exp.add_argument("--standardize", action="store_true")
-    exp.add_argument("--task-seed", type=int, default=0)
-    exp.add_argument("--dims", default=DEFAULT_SWEEP_DIMS)
-    _add_synth_flags(exp)
+    task_seed = exp.add_argument("--task-seed", type=int, default=0)
+    exp.set_defaults(readers={
+        "ablate": [exp.add_argument("--variants", default=",".join(sorted(ABLATION_VARIANTS)))],
+        "noise": [exp.add_argument("--noise-dim", type=int, default=20)],
+        "sweep": [exp.add_argument("--ns", default="0,2,4,6,8,10"), task_seed,
+                  exp.add_argument("--dims", default=DEFAULT_SWEEP_DIMS),
+                  *_add_synth_flags(exp)],
+        "files": [exp.add_argument("--source", action="append", default=[]),
+                  exp.add_argument("--target"),
+                  exp.add_argument("--labeled-per-class", type=int, default=3),
+                  exp.add_argument("--standardize", action="store_true")],
+        "builtin": [task_seed],
+    })
     exp.add_argument("--out", required=True)
     _add_model_flags(exp)
     exp.set_defaults(func=cmd_experiment)

@@ -15,3 +15,18 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class NonFiniteError(ValueError):
+    """A loss, divergence or gradient came out NaN or infinite.
+
+    `position` indexes the parameter (in the tape's parameter order) whose
+    gradient it is; `train` adds the `iteration` and the `records`
+    completed before it.
+    """
+
+    def __init__(self, quantity: str, *, position=None, iteration=None, records=()):
+        self.quantity, self.position = quantity, position
+        self.iteration, self.records = iteration, list(records)
+        where = "" if iteration is None else f"iteration {iteration}: "
+        super().__init__(f"{where}{quantity} is not finite")

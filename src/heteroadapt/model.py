@@ -301,27 +301,28 @@ def consistency_loss(tape: Tape, model: ModelParams, norm: str = "l1") -> Node:
     return total
 
 
-def class_conditional_mmd(
-    source_emb: Node,
-    source_labels: np.ndarray,
+def _class_indicators(labels, num_classes: int) -> np.ndarray:
+    """(C, n) float indicators: row c marks the samples labeled c."""
+    return (np.asarray(labels) == np.arange(num_classes)[:, None]).astype(np.float64)
+
+
+def target_class_means(
     target_labeled_emb: Node,
     target_labels: np.ndarray,
     num_classes: int,
     target_unlabeled_emb: Node | None = None,
     unlabeled_soft_labels: np.ndarray | None = None,
-    domain: str | int | None = None,
 ) -> Node:
-    """Mean over classes of the squared distance between class means.
+    """(C, d) target class means, one weighted row sum per target split.
 
-    The target mean for class c blends the labeled samples of that class
-    with every unlabeled sample weighted by its soft-label probability for
-    c; the blend is normalized by labeled count plus total soft mass. Soft
-    labels are treated as constants: gradients flow only through the
-    embeddings.
+    The mean for class c blends the labeled samples of that class with
+    every unlabeled sample weighted by its soft-label probability for c;
+    the blend is normalized by labeled count plus total soft mass, which
+    the constant weights already carry. Soft labels are treated as
+    constants: gradients flow only through the embeddings.
     """
-    who = "" if domain is None else f" (source {domain})"
-    source_labels = np.asarray(source_labels)
-    target_labels = np.asarray(target_labels)
+    labeled = _class_indicators(target_labels, num_classes)
+    mass = labeled.sum(axis=1)
     soft = None
     if target_unlabeled_emb is not None:
         if unlabeled_soft_labels is None:
@@ -334,26 +335,46 @@ def class_conditional_mmd(
             )
         if np.any(np.abs(soft.sum(axis=1) - 1.0) > 1e-9):
             raise ConfigError("soft-label rows must sum to 1 within 1e-9")
+        mass = mass + soft.sum(axis=0)
+    if np.any(mass <= 0.0):
+        raise ConfigError(
+            f"class {np.argmax(mass <= 0.0)} has zero labeled-plus-soft target mass"
+        )
+    means = weighted_row_sum(target_labeled_emb, labeled / mass[:, None])
+    if soft is not None:
+        means = means + weighted_row_sum(target_unlabeled_emb, soft.T / mass[:, None])
+    return means
 
-    total = None
-    for c in range(num_classes):
-        src_mask = (source_labels == c).astype(np.float64)
-        n_src = src_mask.sum()
-        if n_src < 1:
-            raise ConfigError(f"class {c} has no samples{who}")
-        src_mean = weighted_row_sum(source_emb, src_mask) / n_src
 
-        tgt_mask = (target_labels == c).astype(np.float64)
-        denom = float(tgt_mask.sum())
-        numerator = weighted_row_sum(target_labeled_emb, tgt_mask)
-        if soft is not None:
-            denom += float(soft[:, c].sum())
-            numerator = numerator + weighted_row_sum(target_unlabeled_emb, soft[:, c])
-        if denom <= 0.0:
-            raise ConfigError(f"class {c} has zero labeled-plus-soft target mass{who}")
-        gap = sum_sq(numerator / denom - src_mean)
-        total = gap if total is None else total + gap
-    return total / num_classes
+def class_conditional_mmd(
+    source_emb: Node,
+    source_labels: np.ndarray,
+    target_labeled_emb: Node,
+    target_labels: np.ndarray,
+    num_classes: int,
+    target_unlabeled_emb: Node | None = None,
+    unlabeled_soft_labels: np.ndarray | None = None,
+    domain: str | int | None = None,
+    *,
+    target_means: Node | None = None,
+) -> Node:
+    """Mean over classes of the squared distance between class means.
+
+    The target means are `target_class_means` of the target arguments;
+    `target_means` passes them in, so sources can share one build. The
+    source means are one weighted row sum with each class's indicators
+    divided by its count.
+    """
+    if target_means is None:
+        target_means = target_class_means(target_labeled_emb, target_labels, num_classes,
+                                          target_unlabeled_emb, unlabeled_soft_labels)
+    members = _class_indicators(source_labels, num_classes)
+    count = members.sum(axis=1)
+    if not count.all():
+        who = "" if domain is None else f" (source {domain})"
+        raise ConfigError(f"class {count.argmin()} has no samples{who}")
+    source_means = weighted_row_sum(source_emb, members / count[:, None])
+    return sum_sq(target_means - source_means) / num_classes
 
 
 @dataclass(frozen=True)
@@ -509,17 +530,12 @@ class TransformerObjective:
 def divergence_nodes(
     emb: TaskEmbeddings, task: MultiSourceTask, soft: np.ndarray
 ) -> list[Node]:
+    """One divergence per source, all against one build of the target class means."""
+    target = (emb.target_labeled, task.target_labeled.labels, task.num_classes,
+              emb.target_unlabeled, soft)
+    means = target_class_means(*target)
     return [
-        class_conditional_mmd(
-            emb_k,
-            source.labels,
-            emb.target_labeled,
-            task.target_labeled.labels,
-            task.num_classes,
-            emb.target_unlabeled,
-            soft,
-            domain=k,
-        )
+        class_conditional_mmd(emb_k, source.labels, *target, domain=k, target_means=means)
         for k, (emb_k, source) in enumerate(zip(emb.sources, task.sources))
     ]
 
@@ -539,10 +555,12 @@ def embedding_pass(
     target embedding; those logits are kept for evaluation. Divergences are
     built for every source under either weighting (`ones` runs still record
     them); only conditional weighting with two or more sources turns them
-    into weight nodes. Node order matters for bit-exact gradients:
-    `Tape.backward` sums contributions into a shared embedding in reverse
-    tape order, so the classification logits must come after the
-    divergences, where `transformer_objective` creates them.
+    into weight nodes. The divergences build the target class means once
+    and share them across sources (see `divergence_nodes`). Node order
+    matters for bit-exact gradients: `Tape.backward` sums contributions
+    into a shared embedding in reverse tape order, so the classification
+    logits must come after the divergences, where `transformer_objective`
+    creates them.
     """
     if weighting not in ("conditional", "ones"):
         raise ConfigError(f"weighting must be 'conditional' or 'ones', got {weighting!r}")

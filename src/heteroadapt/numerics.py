@@ -17,7 +17,11 @@ Three rules keep the hot paths lean without changing a result:
 - Order. A rewrite may change where a result is stored, never the order
   of the float operations that produce it, so values, parameters and
   gradients stay bit-identical (a gradient up to the sign of an exact
-  zero, see `Tape.backward`).
+  zero, see `Tape.backward`). A reorder is a deliberate, documented
+  change that keeps a transcription of the old order in the tests as its
+  reference. There has been one: the class-conditional divergence builds
+  each domain's class means as one (C, n) `weighted_row_sum` instead of a
+  1-D row sum per class; `tests/oracles.py` keeps the per-class chain.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 Array = np.ndarray
 
@@ -192,15 +196,16 @@ class Tape:
     def backward(self, loss: Node) -> list[Tensor]:
         """Gradients of a scalar loss, one Tensor per registered parameter.
 
-        Parameters that do not reach the loss get zero gradients. A node's
-        first gradient contribution is stored as the vjp returned it: that
-        array may be shared (`add` hands one `g` to both parents), so it is
-        never written. The second contribution builds a new array, and only
-        such an array is updated in place by later ones. Contributions are
-        summed in reverse tape order, as `0 + c1 + c2 + ...` was, so
-        gradients are bit-equal to that sum up to the sign of an exact zero.
-        A node's gradient is dropped once it has been propagated, unless the
-        node is a parameter.
+        Parameters that do not reach the loss get zero gradients; a
+        gradient that is not finite raises `NonFiniteError` with the
+        parameter's position. A node's first gradient contribution is
+        stored as the vjp returned it: that array may be shared (`add`
+        hands one `g` to both parents), so it is never written. The second
+        contribution builds a new array, and only such an array is updated
+        in place by later ones. Contributions are summed in reverse tape
+        order, as `0 + c1 + c2 + ...` was, so gradients are bit-equal to
+        that sum up to the sign of an exact zero. A node's gradient is
+        dropped once it has been propagated, unless the node is a parameter.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
@@ -232,7 +237,11 @@ class Tape:
         out = []
         for idx in self._param_indices:
             g = grads[idx]
-            out.append(Tensor._adopt(np.zeros_like(self._values[idx]) if g is None else g))
+            try:
+                out.append(Tensor._adopt(np.zeros_like(self._values[idx]) if g is None else g))
+            except ValueError:
+                raise NonFiniteError(f"gradient of parameter {len(out)}",
+                                     position=len(out)) from None
         return out
 
 
@@ -379,14 +388,13 @@ def sigmoid_values(x: Array) -> Array:
 
 
 def weighted_row_sum(x: Node, weights) -> Node:
-    """weights (n,) @ x (n, d) with constant weights -> (d,)."""
+    """Constant weights (n,) or (m, n) @ x (n, d) -> (d,) or (m, d)."""
     wv = _as_array(weights)
     xv = x.value
-    if xv.ndim != 2 or wv.ndim != 1 or wv.shape[0] != xv.shape[0]:
+    if xv.ndim != 2 or wv.ndim not in (1, 2) or wv.shape[-1] != xv.shape[0]:
         raise ShapeError(f"weighted_row_sum got weights {wv.shape} for matrix {xv.shape}")
-    return x.tape.append(
-        "weighted_row_sum", wv @ xv, (x.index,), (lambda g: np.outer(wv, g),)
-    )
+    vjp = (lambda g: np.outer(wv, g)) if wv.ndim == 1 else (lambda g: wv.T @ g)
+    return x.tape.append("weighted_row_sum", wv @ xv, (x.index,), (vjp,))
 
 
 def sum_sq(x: Node) -> Node:

@@ -64,6 +64,95 @@ def naive_source_weights(deltas):
     return out
 
 
+def old_order_class_conditional_mmd(
+    source_emb,
+    source_labels,
+    target_labeled_emb,
+    target_labels,
+    num_classes,
+    target_unlabeled_emb=None,
+    unlabeled_soft_labels=None,
+    domain=None,
+):
+    """The per-class divergence chain in its original node order.
+
+    For each class: a 1-D `weighted_row_sum` of the source and a scale by
+    its count, 1-D row sums of both target splits, their add and a scale
+    by the class mass, then a sub and a `sum_sq`; the gaps are added in
+    class order and scaled by 1/C. The package now builds the same value
+    from one (C, n) row sum per domain, which reorders these float sums.
+    """
+    from heteroadapt.errors import ConfigError
+    from heteroadapt.numerics import sum_sq, weighted_row_sum
+
+    who = "" if domain is None else f" (source {domain})"
+    source_labels = np.asarray(source_labels)
+    target_labels = np.asarray(target_labels)
+    soft = None
+    if target_unlabeled_emb is not None:
+        soft = np.asarray(unlabeled_soft_labels, dtype=np.float64)
+    total = None
+    for c in range(num_classes):
+        src_mask = (source_labels == c).astype(np.float64)
+        n_src = src_mask.sum()
+        if n_src < 1:
+            raise ConfigError(f"class {c} has no samples{who}")
+        src_mean = weighted_row_sum(source_emb, src_mask) / n_src
+        tgt_mask = (target_labels == c).astype(np.float64)
+        denom = float(tgt_mask.sum())
+        numerator = weighted_row_sum(target_labeled_emb, tgt_mask)
+        if soft is not None:
+            denom += float(soft[:, c].sum())
+            numerator = numerator + weighted_row_sum(target_unlabeled_emb, soft[:, c])
+        if denom <= 0.0:
+            raise ConfigError(f"class {c} has zero labeled-plus-soft target mass{who}")
+        gap = sum_sq(numerator / denom - src_mean)
+        total = gap if total is None else total + gap
+    return total / num_classes
+
+
+def old_order_divergence_nodes(emb, task, soft):
+    """`model.divergence_nodes` on the old-order chain: every source
+    rebuilds the target class means. Substitute it for the package's to
+    train in the old float order."""
+    return [
+        old_order_class_conditional_mmd(
+            emb_k, source.labels, emb.target_labeled, task.target_labeled.labels,
+            task.num_classes, emb.target_unlabeled, soft, domain=k,
+        )
+        for k, (emb_k, source) in enumerate(zip(emb.sources, task.sources))
+    ]
+
+
+def assert_traces_close(got, want, rtol):
+    """Worst relative gap between two runs' records, checked against `rtol`.
+
+    For a change that reorders float sums on purpose: the iterations and
+    target accuracies must be identical, and every loss, divergence and
+    weight must agree within `rtol` relative to the larger magnitude.
+    Raises AssertionError naming the worst field otherwise.
+    """
+    assert len(got) == len(want), f"{len(got)} records against {len(want)}"
+    worst, where = 0.0, None
+    for a, b in zip(got, want):
+        assert a.iteration == b.iteration, f"iteration {a.iteration} against {b.iteration}"
+        assert a.target_accuracy == b.target_accuracy, (
+            f"iteration {a.iteration}: accuracy {a.target_accuracy} against {b.target_accuracy}"
+        )
+        pairs = [(name, getattr(a, name), getattr(b, name))
+                 for name in ("loss_fg", "loss_lg", "loss_dg_inverted", "loss_d")]
+        for name in ("deltas", "weights"):
+            assert len(getattr(a, name)) == len(getattr(b, name)), f"{name} lengths differ"
+            pairs += [(f"{name}[{k}]", x, y)
+                      for k, (x, y) in enumerate(zip(getattr(a, name), getattr(b, name)))]
+        for name, x, y in pairs:
+            gap = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+            if np.isnan(gap) or gap > worst:
+                worst, where = gap, f"iteration {a.iteration} {name}: {x!r} against {y!r}"
+    assert worst <= rtol, f"relative gap {worst:.3g} exceeds {rtol:g} at {where}"
+    return worst
+
+
 def three_forward_train(task, config):
     """The training loop as it stood before one tape per iteration.
 

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: files, traces, errors, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from heteroadapt.cli import (
     parse_dims,
     parse_seeds,
 )
-from heteroadapt.data import SynthSpec, load_domain_file
+from heteroadapt.data import SynthSpec, load_domain_file, save_domain_file
+from heteroadapt.numerics import Tensor
 from heteroadapt.training import TrainConfig
 
 
@@ -240,6 +243,17 @@ class TestTrain:
         assert err.startswith("error:") and "--iters" in err
         assert not (tmp_path / "run" / "trace.csv").exists()
 
+    def test_overflow_is_one_named_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth_tiny(data, capsys)
+        source = load_domain_file(data / "source_0_d12.txt")
+        save_domain_file(replace(source, features=Tensor(source.features.array * 1e160)),
+                         data / "source_0_d12.txt")
+        with np.errstate(over="ignore"):
+            code, _, err = run_cli(self._train_args(data, tmp_path / "run"), capsys)
+        assert code == 1
+        assert err == "error: iteration 0: delta_1 is not finite\n"
+
     def test_embeddings_export(self, tmp_path, capsys):
         data = tmp_path / "data"
         synth_tiny(data, capsys)
@@ -298,6 +312,42 @@ class TestExperiment:
         code, _, err = run_cli(self._common(out, [mode, "--seeds", "0", *files]), capsys)
         assert code != 0
         assert err.startswith("error:") and "--source" in err and "--target" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, flags, named", [
+        ("ablate", ["--classes", "5", "--dims", "7,target=9"], "--dims, --classes"),
+        ("ablate", ["--per-class", "9", "--noise", "0.3"], "--per-class, --noise"),
+        ("ablate", ["--labeled-per-class", "5"], "--labeled-per-class"),
+        ("ablate", ["--ns", "2", "--noise-dim", "4"], "--noise-dim, --ns"),
+        ("ablate", ["--source", "s.txt", "--target", "t.txt", "--task-seed", "2"],
+         "--task-seed"),
+    ])
+    def test_ablate_rejects_flags_it_does_not_read(self, tmp_path, capsys, mode, flags, named):
+        self._assert_rejected(tmp_path, capsys, mode, flags, named)
+
+    @pytest.mark.parametrize("mode, flags, named", [
+        ("noise", ["--latent-dim", "4", "--spread", "2"], "--latent-dim, --spread"),
+        ("noise", ["--target-labeled-per-class", "2", "--target-unlabeled", "9"],
+         "--target-labeled-per-class, --target-unlabeled"),
+        ("noise", ["--standardize"], "--standardize"),
+        ("noise", ["--variants", "full"], "--variants"),
+    ])
+    def test_noise_rejects_flags_it_does_not_read(self, tmp_path, capsys, mode, flags, named):
+        self._assert_rejected(tmp_path, capsys, mode, flags, named)
+
+    @pytest.mark.parametrize("mode, flags, named", [
+        ("sweep", ["--labeled-per-class", "50", "--standardize"],
+         "--labeled-per-class, --standardize"),
+        ("sweep", ["--noise-dim", "4"], "--noise-dim"),
+    ])
+    def test_sweep_rejects_flags_it_does_not_read(self, tmp_path, capsys, mode, flags, named):
+        self._assert_rejected(tmp_path, capsys, mode, flags, named)
+
+    def _assert_rejected(self, tmp_path, capsys, mode, flags, named):
+        out = tmp_path / "exp"
+        code, _, err = run_cli(self._common(out, [mode, "--seeds", "0", *flags]), capsys)
+        assert code != 0
+        assert err == f"error: experiment {mode} does not read {named}\n"
         assert not out.exists()
 
     def test_unknown_variant_fails(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heteroadapt.errors import ShapeError
+from heteroadapt.errors import NonFiniteError, ShapeError
 from heteroadapt.numerics import (
     Adam,
     Tape,
@@ -227,6 +227,18 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             tape.backward(out)
 
+    def test_gradient_overflow_names_parameter_position(self):
+        # a finite loss (about 1e200) whose gradient (about 1e350) is not
+        tape = Tape()
+        fine = tape.param(Tensor([1.0]))
+        tiny = tape.param(Tensor([1e-150]))
+        loss = sum_sq(fine) + sum_sq(scale(tiny, 1e250))
+        assert math.isfinite(float(loss.value))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="gradient of parameter 1 is not finite") as info:
+            tape.backward(loss)
+        assert info.value.position == 1
+
     def test_node_ids_topologically_ordered(self):
         tape = Tape()
         x = tape.param(Tensor([[1.0, -2.0]]))
@@ -292,6 +304,22 @@ class TestBackward:
 
             err = grad_check(fn, [Tensor(x0)])
             assert err < 1e-4, f"{name} gradient mismatch: {err}"
+
+    def test_class_weighted_row_sum_matches_finite_differences(self):
+        # (C, n) weights as the divergence builds them; the last class has no mass
+        rng = np.random.default_rng(12)
+        x0 = rng.uniform(-2, 2, (3, 4))
+        class_weights = np.vstack([rng.uniform(-1, 1, (2, 3)), np.zeros(3)])
+
+        def fn(params):
+            tape = Tape()
+            return sum_sq(weighted_row_sum(tape.param(params[0]), class_weights))
+
+        assert grad_check(fn, [Tensor(x0)]) < 1e-6
+        rows = weighted_row_sum(Tape().constant(x0), class_weights).value
+        np.testing.assert_array_equal(rows[2], np.zeros(4))
+        with pytest.raises(ShapeError, match=r"weights \(2, 4\) for matrix \(3, 4\)"):
+            weighted_row_sum(Tape().constant(x0), np.ones((2, 4)))
 
 
 def bits(a):

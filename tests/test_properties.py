@@ -91,6 +91,22 @@ def test_reductions(n, d, seed):
     assert check(lambda t, a: sum_sq(weighted_row_sum(a, weights)), [x]) < TOL
 
 
+@given(n=dims, d=dims, c=dims, seed=seeds)
+def test_class_weighted_row_sum(n, d, c, seed):
+    # (C, n) weights as the divergence builds them, one class without mass:
+    # gradients match central differences and each row is its 1-D row sum
+    rng = np.random.default_rng(seed)
+    x = entries(rng, (n, d))
+    class_weights = entries(rng, (c, n))
+    class_weights[rng.integers(c)] = 0.0
+    assert check(lambda t, a: sum_sq(weighted_row_sum(a, class_weights)), [x]) < TOL
+    rows = weighted_row_sum(Tape().constant(x), class_weights).value
+    assert rows.shape == (c, d)
+    for w_row, row in zip(class_weights, rows):
+        np.testing.assert_allclose(row, weighted_row_sum(Tape().constant(x), w_row).value,
+                                   rtol=1e-12, atol=0.0)
+
+
 @given(n=dims, c=st.integers(2, 4), seed=seeds)
 def test_losses(n, c, seed):
     rng = np.random.default_rng(seed)

@@ -1,10 +1,15 @@
 """Initialization, the alternating loop's contracts, and evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import heteroadapt.model as model
+import heteroadapt.training as training
 from heteroadapt.data import SynthSpec, synthetic_task
-from heteroadapt.errors import ConfigError, ShapeError
+from heteroadapt.errors import ConfigError, NonFiniteError, ShapeError
+from heteroadapt.experiments import ABLATION_VARIANTS, ablation_config
 from heteroadapt.model import (
     ClassifierParams,
     DiscriminatorParams,
@@ -13,7 +18,7 @@ from heteroadapt.model import (
     d_parameters,
     fg_parameters,
 )
-from heteroadapt.numerics import Adam, Tensor
+from heteroadapt.numerics import Adam, Tensor, scale, sum_sq
 from heteroadapt.training import (
     TrainConfig,
     evaluate_accuracy,
@@ -23,7 +28,7 @@ from heteroadapt.training import (
 )
 
 from conftest import target_soft
-from oracles import three_forward_train
+from oracles import assert_traces_close, old_order_divergence_nodes, three_forward_train
 
 
 def tiny_config(**overrides):
@@ -112,8 +117,6 @@ class TestInit:
 
 class TestTrainStep:
     def test_discriminator_step_freezes_fg_and_vice_versa(self, monkeypatch):
-        import heteroadapt.training as training
-
         task = tiny_task()
         config = tiny_config()
         params = init_params(task, config)
@@ -191,25 +194,39 @@ class TestTrainStep:
         # K sources + labeled + unlabeled target once per step on the tape,
         # plus one value-only evaluation of the unlabeled target after the
         # last step
-        import heteroadapt.model as model
-
-        calls = {"transform": 0, "transform_values": 0}
-
-        def counting(name):
-            real = getattr(model, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(model, name, counting(name))
+        calls = count_model_calls(monkeypatch, "transform", "transform_values")
         task = tiny_task()
         train(task, tiny_config(iterations=3))
         k = task.num_sources
         assert calls["transform"] == 3 * (k + 2)
         assert calls["transform_values"] == 1
+
+    def test_target_class_means_built_once_per_step(self, monkeypatch):
+        # one (C, n) row sum per source and per target split, and one
+        # divergence per source against the shared target means
+        calls = count_model_calls(monkeypatch, "weighted_row_sum", "class_conditional_mmd")
+        task = tiny_task()
+        train(task, tiny_config(iterations=3))
+        k = task.num_sources
+        assert calls["weighted_row_sum"] == 3 * (k + 2)
+        assert calls["class_conditional_mmd"] == 3 * k
+
+
+def count_model_calls(monkeypatch, *names):
+    """Count calls of `heteroadapt.model` functions, as looked up there."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        real = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(model, name, counting(name))
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -231,6 +248,50 @@ def test_train_matches_three_forward_loop(overrides, spec):
     want = fg_parameters(want_params) + d_parameters(want_params)
     for ta, tb in zip(got, want, strict=True):
         assert np.array_equal(ta.array, tb.array)
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_train_matches_old_order_divergence(monkeypatch, variant):
+    # The divergence's float sums were reordered once, on purpose; the old
+    # per-class chain stays the reference, on the ablate_small benchmark shape.
+    task = synthetic_task(SynthSpec(source_dims=(20, 28, 36, 44), target_dim=32))
+    config = ablation_config(TrainConfig(d_c=32, hidden=32, iterations=100), variant)
+    got = train(task, config)
+    monkeypatch.setattr(model, "divergence_nodes", old_order_divergence_nodes)
+    want = train(task, config)
+    assert_traces_close(got.records, want.records, rtol=1e-12)
+
+
+class TestNonFinite:
+    def test_overflowing_source_names_divergence_and_iteration(self):
+        task = tiny_task()
+        big = replace(task.sources[0], features=Tensor(task.sources[0].features.array * 1e160))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="^iteration 0: delta_1 is not finite$") as info:
+            train(replace(task, sources=(big, *task.sources[1:])), tiny_config())
+        assert info.value.iteration == 0 and info.value.records == []
+
+    def test_gradient_overflow_names_parameter_and_keeps_records(self, monkeypatch):
+        real = training.transformer_objective
+        steps = []
+
+        def overflowing_at_third_step(fwd, *args, **kwargs):
+            obj = real(fwd, *args, **kwargs)
+            steps.append(None)
+            if len(steps) < 3:
+                return obj
+            # about 1e200 in value, about 1e350 in the classifier's gradient
+            blowup = sum_sq(scale(scale(fwd.model.classifier.w, 1e-150), 1e250))
+            return replace(obj, objective=obj.objective + blowup)
+
+        task, config = tiny_task(), tiny_config(iterations=5)
+        want = train(task, config).records[:2]
+        monkeypatch.setattr(training, "transformer_objective", overflowing_at_third_step)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="^iteration 2: gradient of classifier w is not finite$"
+        ) as info:
+            train(task, config)
+        assert info.value.records == want
 
 
 class TestTrain:
