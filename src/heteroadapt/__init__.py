@@ -3,7 +3,7 @@ adversarial alignment."""
 
 from .data import DomainData, MultiSourceTask, SynthSpec
 from .errors import ConfigError, ParseError, ShapeError
-from .model import ModelParams, SourceWeightState, source_weights
+from .model import ModelParams
 from .numerics import Adam, Tape, Tensor
 from .training import IterationRecord, TrainConfig, TrainTrace, train
 
@@ -18,12 +18,10 @@ __all__ = [
     "MultiSourceTask",
     "ParseError",
     "ShapeError",
-    "SourceWeightState",
     "SynthSpec",
     "Tape",
     "Tensor",
     "TrainConfig",
     "TrainTrace",
-    "source_weights",
     "train",
 ]

@@ -24,7 +24,7 @@ from .data import (
     split_target,
     standardize,
 )
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, NonFiniteError, ParseError, ShapeError
 from .experiments import (
     ABLATION_VARIANTS,
     default_task,
@@ -34,7 +34,8 @@ from .experiments import (
     run_source_sweep,
     write_summary_csvs,
 )
-from .training import LG_NORMS, WEIGHTINGS, TrainConfig, train
+from .model import LG_NORMS, WEIGHTINGS
+from .training import TrainConfig, TrainTrace, train
 
 DEFAULT_SWEEP_DIMS = "100:1000:100,target=2000"
 
@@ -120,9 +121,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> TrainConfig:
     if args.iterations < 1:  # a run without iterations has no trace to write
         raise ConfigError(f"--iters must be at least 1, got {args.iterations}")
-    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    config.validate()
-    return config
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _out_dir(args) -> Path:
@@ -235,7 +234,11 @@ def cmd_train(args) -> int:
     config = _config_from_args(args)
     task, provenance = _load_task(args)
     out = _out_dir(args)
-    trace = train(task, config)
+    try:
+        trace = train(task, config)
+    except NonFiniteError as exc:  # keep the iterations that completed
+        write_trace_csv(out / "trace.csv", TrainTrace(exc.records), task.num_sources)
+        raise
     write_trace_csv(out / "trace.csv", trace, task.num_sources)
     if args.export_embeddings:
         export_embeddings(trace.final_params, task, out / "embeddings.txt",

@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MultiSourceTask, SynthSpec, generate_noise_domain, synthetic_task
+from .data import (
+    DomainData,
+    MultiSourceTask,
+    SynthSpec,
+    generate_noise_domain,
+    save_domain_file,
+    synthetic_task,
+)
 from .errors import ConfigError
 from .model import ClassifierParams, ModelParams, TransformerParams, transform_values
 from .numerics import Tensor
@@ -341,23 +348,14 @@ def export_embeddings(params: ModelParams, task: MultiSourceTask, path,
     back as an unlabeled domain.
     """
     k_total = task.num_sources
-    blocks = []
-    for k, s in enumerate(task.sources):
-        emb = transform_values(params.sources[k], s.features.array, slope)
-        meta = np.column_stack([np.full(s.n, float(k)), s.labels.astype(np.float64)])
-        blocks.append(np.hstack([meta, emb]))
-    for domain, labels in (
-        (task.target_labeled, task.target_labeled.labels.astype(np.float64)),
-        (task.target_unlabeled, np.full(task.target_unlabeled.n, -1.0)),
-    ):
-        emb = transform_values(params.target, domain.features.array, slope)
-        meta = np.column_stack([np.full(domain.n, float(k_total)), labels])
-        blocks.append(np.hstack([meta, emb]))
-    rows = np.vstack(blocks)
-    lines = [f"{rows.shape[0]} {rows.shape[1]} {task.num_classes}"]
-    for row in rows:
-        lines.append("-1 " + " ".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parts = [(k, t, s, s.labels) for k, (t, s) in enumerate(zip(params.sources, task.sources))]
+    parts += [(k_total, params.target, task.target_labeled, task.target_labeled.labels),
+              (k_total, params.target, task.target_unlabeled, np.full(task.target_unlabeled.n, -1))]
+    rows = np.vstack([
+        np.column_stack([np.full(d.n, float(k)), labels, transform_values(t, d.features, slope)])
+        for k, t, d, labels in parts
+    ])
+    save_domain_file(DomainData("embeddings", Tensor(rows), None, task.num_classes), path)
 
 
 def write_summary_csvs(per_seed_path, aggregate_path, experiment: str,

@@ -28,7 +28,6 @@ from .numerics import (
     matmul_affine,
     relu,
     sigmoid,
-    sigmoid_values,
     softmax_cross_entropy,
     softmax_values,
     squared_error,
@@ -40,6 +39,9 @@ from .numerics import (
 # Largest double below 1; the logistic curve saturates to exactly 1.0 in
 # float64 past ~36.7, which would push weights onto the closed boundary.
 _SIGMOID_CEILING = float(np.nextafter(1.0, 0.0))
+
+LG_NORMS = ("l1", "l2", "off", "tied")
+WEIGHTINGS = ("conditional", "ones")
 
 SOURCE_DOMAIN_LABEL = np.array([1.0, 0.0])
 TARGET_DOMAIN_LABEL = np.array([0.0, 1.0])
@@ -349,25 +351,16 @@ def target_class_means(
 def class_conditional_mmd(
     source_emb: Node,
     source_labels: np.ndarray,
-    target_labeled_emb: Node,
-    target_labels: np.ndarray,
-    num_classes: int,
-    target_unlabeled_emb: Node | None = None,
-    unlabeled_soft_labels: np.ndarray | None = None,
+    target_means: Node,
     domain: str | int | None = None,
-    *,
-    target_means: Node | None = None,
 ) -> Node:
     """Mean over classes of the squared distance between class means.
 
-    The target means are `target_class_means` of the target arguments;
-    `target_means` passes them in, so sources can share one build. The
-    source means are one weighted row sum with each class's indicators
-    divided by its count.
+    `target_means` are the (C, d) `target_class_means`, built once and
+    shared by every source. The source means are one weighted row sum
+    with each class's indicators divided by its count.
     """
-    if target_means is None:
-        target_means = target_class_means(target_labeled_emb, target_labels, num_classes,
-                                          target_unlabeled_emb, unlabeled_soft_labels)
+    num_classes = target_means.shape[0]
     members = _class_indicators(source_labels, num_classes)
     count = members.sum(axis=1)
     if not count.all():
@@ -377,48 +370,15 @@ def class_conditional_mmd(
     return sum_sq(target_means - source_means) / num_classes
 
 
-@dataclass(frozen=True)
-class SourceWeightState:
-    """Per-source divergences and the weights derived from them."""
-
-    deltas: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.deltas) != len(self.weights):
-            raise ShapeError("deltas and weights must have equal length")
-
-
-def _clipped_sigmoid_values(x) -> np.ndarray:
-    return np.minimum(sigmoid_values(x), _SIGMOID_CEILING)
-
-
-def source_weights(deltas: Sequence[float]) -> SourceWeightState:
+def source_weight_nodes(deltas: Sequence[Node]) -> list[Node | float]:
     """Weight each source by the mean squashed divergence of the others.
 
     w_k averages sigmoid(delta_j) over j != k, so w_k never depends on
-    delta_k and lands in [0.5, 1) for finite non-negative divergences. A
-    single source keeps weight 1 (nothing to compare against).
+    delta_k and lies in [0.5, 1) for non-negative divergences; a sigmoid
+    that rounds to 1 is held at the largest double below it. A single
+    source keeps weight 1 (nothing to compare against). Gradients flow
+    into the divergences.
     """
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas:
-        raise ConfigError("at least one source divergence is required")
-    for d in deltas:
-        if not np.isfinite(d) or d < 0.0:
-            raise ConfigError(f"divergences must be finite and non-negative, got {d}")
-    if len(deltas) == 1:
-        return SourceWeightState(deltas, (1.0,))
-    k_total = len(deltas)
-    sig = [float(_clipped_sigmoid_values(np.float64(d))) for d in deltas]
-    inv = 1.0 / (k_total - 1)  # reciprocal-multiply, matching the tape path bit for bit
-    weights = tuple(
-        sum(sig[j] for j in range(k_total) if j != k) * inv for k in range(k_total)
-    )
-    return SourceWeightState(deltas, weights)
-
-
-def source_weight_nodes(deltas: Sequence[Node]) -> list[Node | float]:
-    """Tape version of `source_weights`; gradients flow into the divergences."""
     k_total = len(deltas)
     if k_total == 0:
         raise ConfigError("at least one source divergence is required")
@@ -428,17 +388,13 @@ def source_weight_nodes(deltas: Sequence[Node]) -> list[Node | float]:
     sig = []
     for d in deltas:
         s = sigmoid(d)
-        if float(s.value) > ceiling:  # saturate exactly like the value path
+        if float(s.value) > ceiling:
             s = s.tape.append("clip", np.float64(ceiling), (d.index,), (lambda g: g * 0.0,))
         sig.append(s)
     out: list[Node | float] = []
     for k in range(k_total):
-        acc = None
-        for j in range(k_total):
-            if j == k:
-                continue
-            acc = sig[j] if acc is None else acc + sig[j]
-        out.append(acc / (k_total - 1))
+        first, *rest = [s for j, s in enumerate(sig) if j != k]
+        out.append(sum(rest, first) / (k_total - 1))  # left to right; traces depend on it
     return out
 
 
@@ -531,11 +487,10 @@ def divergence_nodes(
     emb: TaskEmbeddings, task: MultiSourceTask, soft: np.ndarray
 ) -> list[Node]:
     """One divergence per source, all against one build of the target class means."""
-    target = (emb.target_labeled, task.target_labeled.labels, task.num_classes,
-              emb.target_unlabeled, soft)
-    means = target_class_means(*target)
+    means = target_class_means(emb.target_labeled, task.target_labeled.labels,
+                               task.num_classes, emb.target_unlabeled, soft)
     return [
-        class_conditional_mmd(emb_k, source.labels, *target, domain=k, target_means=means)
+        class_conditional_mmd(emb_k, source.labels, means, domain=k)
         for k, (emb_k, source) in enumerate(zip(emb.sources, task.sources))
     ]
 
@@ -562,8 +517,8 @@ def embedding_pass(
     logits must come after the divergences, where `transformer_objective`
     creates them.
     """
-    if weighting not in ("conditional", "ones"):
-        raise ConfigError(f"weighting must be 'conditional' or 'ones', got {weighting!r}")
+    if weighting not in WEIGHTINGS:
+        raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     tape = Tape()
     model = lift_fg(tape, params, trainable=True)
     emb = embed_task(model, tape, task, slope)
@@ -592,8 +547,8 @@ def transformer_objective(
     the weights are live nodes, so gradients reach the transformers both
     through the losses they scale and through the divergences themselves.
     """
-    if lg_norm not in ("l1", "l2", "off", "tied"):
-        raise ConfigError(f"lg_norm must be one of l1/l2/off/tied, got {lg_norm!r}")
+    if lg_norm not in LG_NORMS:
+        raise ConfigError(f"lg_norm must be one of {LG_NORMS}, got {lg_norm!r}")
     tape, emb, weights = fwd.tape, fwd.emb, fwd.weights
     model = lift_discriminator(tape, fwd.model, discriminator, trainable=False)
     cls = classification_loss(model, emb, task, weights, tau)

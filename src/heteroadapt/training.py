@@ -44,6 +44,8 @@ import numpy as np
 from .data import MultiSourceTask
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .model import (
+    LG_NORMS,
+    WEIGHTINGS,
     ClassifierParams,
     DiscriminatorParams,
     ModelParams,
@@ -58,9 +60,6 @@ from .model import (
     transformer_objective,
 )
 from .numerics import Adam, Node, Tensor
-
-LG_NORMS = ("l1", "l2", "off", "tied")
-WEIGHTINGS = ("conditional", "ones")
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class TrainConfig:
     weighting: str = "conditional"
     leaky_slope: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -266,15 +265,14 @@ def train(task: MultiSourceTask, config: TrainConfig,
     One `train_step` per iteration; each step's forward also evaluates the
     parameters the previous step produced, so iteration i's target
     accuracy is filled in by step i+1, and one trailing evaluation of the
-    unlabeled target covers the last step. Identical (task, config, params) inputs produce bit-identical
-    traces.
+    unlabeled target covers the last step. Identical (task, config, params)
+    inputs produce bit-identical traces.
 
     A divergence, loss or gradient that is not finite raises
     `NonFiniteError` naming it (`delta_k`, a trace column, `objective` or
     `gradient of <parameter>`) and the iteration, with the records of the
     iterations before it, the last one evaluated as the trailing one is.
     """
-    config.validate()
     if params is None:
         params = init_params(task, config)
     validate_task(task, params)
@@ -289,10 +287,11 @@ def train(task: MultiSourceTask, config: TrainConfig,
         )
 
     for it in range(config.iterations):
-        try:
-            params, losses, deltas, weights, accuracy = train_step(
-                params, opt_fg, opt_d, task, config
-            )
+        try:  # a step checks every value it hands on, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                params, losses, deltas, weights, accuracy = train_step(
+                    params, opt_fg, opt_d, task, config
+                )
         except NonFiniteError as exc:
             if pending is not None:
                 trace.records.append(IterationRecord(it - 1, *pending, evaluated()))

@@ -1,8 +1,11 @@
 """Shared builders for small deterministic test fixtures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import heteroadapt.training as training
 from heteroadapt.data import DomainData, MultiSourceTask
 from heteroadapt.model import (
     ClassifierParams,
@@ -14,7 +17,7 @@ from heteroadapt.model import (
     lift_fg,
     transform_values,
 )
-from heteroadapt.numerics import Tensor, softmax_values
+from heteroadapt.numerics import Tensor, scale, softmax_values, sum_sq
 
 try:
     from hypothesis import settings
@@ -115,3 +118,20 @@ def toy_setup():
     task = make_toy_task(rng)
     params = make_params(rng, (3, 5), 4)
     return params, task
+
+
+def overflow_gradient_at_third_step(monkeypatch):
+    """Make the classifier gradient of `train`'s third step overflow."""
+    real = training.transformer_objective
+    steps = []
+
+    def overflowing_at_third_step(fwd, *args, **kwargs):
+        obj = real(fwd, *args, **kwargs)
+        steps.append(None)
+        if len(steps) < 3:
+            return obj
+        # about 1e200 in value, about 1e350 in the classifier's gradient
+        blowup = sum_sq(scale(scale(fwd.model.classifier.w, 1e-150), 1e250))
+        return replace(obj, objective=obj.objective + blowup)
+
+    monkeypatch.setattr(training, "transformer_objective", overflowing_at_third_step)

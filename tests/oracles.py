@@ -160,7 +160,7 @@ def three_forward_train(task, config):
     (layers, losses, Adam); what it keeps independent is the loop's
     structure. Each iteration pushes every domain through its transformer
     twice, a constant-tape weighting pass (soft labels, divergences,
-    value-path weights) and a separate transformer-objective tape built in
+    weights) and a separate transformer-objective tape built in
     its old node order, and evaluates the unlabeled target after the step.
     Returns the records and the final parameters.
     """
@@ -179,7 +179,6 @@ def three_forward_train(task, config):
         replace_d,
         replace_fg,
         source_weight_nodes,
-        source_weights,
     )
     from heteroadapt.numerics import Adam, Tape, softmax_values
     from heteroadapt.training import (
@@ -201,9 +200,11 @@ def three_forward_train(task, config):
         model = lift_discriminator(tape, model, params.discriminator, trainable=False)
         emb = embed_task(model, tape, task, slope)
         soft = softmax_values(classify(model, emb.target_unlabeled).value)
-        deltas = np.array([float(d.value) for d in divergence_nodes(emb, task, soft)])
+        delta_nodes = divergence_nodes(emb, task, soft)
+        deltas = np.array([float(d.value) for d in delta_nodes])
         if conditional:
-            weights = np.array(source_weights(deltas).weights)
+            weights = np.array([float(getattr(w, "value", w))
+                                for w in source_weight_nodes(delta_nodes)])
         else:
             weights = np.ones(task.num_sources)
         emb_values = (

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: files, traces, errors, determinism."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import overflow_gradient_at_third_step
 
 from heteroadapt.cli import (
     _config_from_args,
@@ -243,16 +245,51 @@ class TestTrain:
         assert err.startswith("error:") and "--iters" in err
         assert not (tmp_path / "run" / "trace.csv").exists()
 
-    def test_overflow_is_one_named_error_line(self, tmp_path, capsys):
+    def _overflowing_data(self, tmp_path, capsys):
         data = tmp_path / "data"
         synth_tiny(data, capsys)
         source = load_domain_file(data / "source_0_d12.txt")
         save_domain_file(replace(source, features=Tensor(source.features.array * 1e160)),
                          data / "source_0_d12.txt")
+        return data
+
+    def test_overflow_is_one_named_error_line(self, tmp_path, capsys):
+        data = self._overflowing_data(tmp_path, capsys)
         with np.errstate(over="ignore"):
             code, _, err = run_cli(self._train_args(data, tmp_path / "run"), capsys)
         assert code == 1
         assert err == "error: iteration 0: delta_1 is not finite\n"
+
+    def test_overflow_raises_no_numpy_warning(self, tmp_path, capsys):
+        data = self._overflowing_data(tmp_path, capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(self._train_args(data, tmp_path / "run"), capsys)
+        assert code == 1
+        assert err == "error: iteration 0: delta_1 is not finite\n"
+
+    def test_overflow_at_first_step_leaves_header_only_trace(self, tmp_path, capsys):
+        data = self._overflowing_data(tmp_path, capsys)
+        code, _, _ = run_cli(self._train_args(data, tmp_path / "run"), capsys)
+        assert code == 1
+        lines = (tmp_path / "run" / "trace.csv").read_text().splitlines()
+        assert lines == ["iter,loss_fg,loss_lg,loss_dg_inv,loss_d,"
+                         "delta_1,delta_2,w_1,w_2,acc_target"]
+        assert not (tmp_path / "run" / "manifest.txt").exists()
+
+    def test_non_finite_stop_keeps_completed_records(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        synth_tiny(data, capsys)
+        extra = ["--iters", "5"]
+        code, _, _ = run_cli(self._train_args(data, tmp_path / "clean", extra), capsys)
+        assert code == 0
+        clean = (tmp_path / "clean" / "trace.csv").read_bytes().splitlines(keepends=True)
+        overflow_gradient_at_third_step(monkeypatch)
+        code, _, err = run_cli(self._train_args(data, tmp_path / "run", extra), capsys)
+        assert code == 1
+        assert err == "error: iteration 2: gradient of classifier w is not finite\n"
+        assert (tmp_path / "run" / "trace.csv").read_bytes() == b"".join(clean[:3])
+        assert not (tmp_path / "run" / "manifest.txt").exists()
 
     def test_embeddings_export(self, tmp_path, capsys):
         data = tmp_path / "data"

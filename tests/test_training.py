@@ -18,7 +18,7 @@ from heteroadapt.model import (
     d_parameters,
     fg_parameters,
 )
-from heteroadapt.numerics import Adam, Tensor, scale, sum_sq
+from heteroadapt.numerics import Adam, Tensor
 from heteroadapt.training import (
     TrainConfig,
     evaluate_accuracy,
@@ -27,7 +27,7 @@ from heteroadapt.training import (
     train_step,
 )
 
-from conftest import target_soft
+from conftest import overflow_gradient_at_third_step, target_soft
 from oracles import assert_traces_close, old_order_divergence_nodes, three_forward_train
 
 
@@ -70,7 +70,7 @@ class TestConfig:
             dict(weighting="softmax"),
         ):
             with pytest.raises(ConfigError):
-                TrainConfig(**bad).validate()
+                TrainConfig(**bad)
 
     @pytest.mark.parametrize("name", ["beta", "tau", "lr_fg", "lr_d", "leaky_slope"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -78,7 +78,7 @@ class TestConfig:
         # nan compares false against every bound, so without its own check
         # `beta=nan` would train silently without the adversarial term
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
-            TrainConfig(**{name: value}).validate()
+            TrainConfig(**{name: value})
 
 
 class TestInit:
@@ -272,21 +272,9 @@ class TestNonFinite:
         assert info.value.iteration == 0 and info.value.records == []
 
     def test_gradient_overflow_names_parameter_and_keeps_records(self, monkeypatch):
-        real = training.transformer_objective
-        steps = []
-
-        def overflowing_at_third_step(fwd, *args, **kwargs):
-            obj = real(fwd, *args, **kwargs)
-            steps.append(None)
-            if len(steps) < 3:
-                return obj
-            # about 1e200 in value, about 1e350 in the classifier's gradient
-            blowup = sum_sq(scale(scale(fwd.model.classifier.w, 1e-150), 1e250))
-            return replace(obj, objective=obj.objective + blowup)
-
         task, config = tiny_task(), tiny_config(iterations=5)
         want = train(task, config).records[:2]
-        monkeypatch.setattr(training, "transformer_objective", overflowing_at_third_step)
+        overflow_gradient_at_third_step(monkeypatch)
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match="^iteration 2: gradient of classifier w is not finite$"
         ) as info:
