@@ -10,12 +10,13 @@ sample, label -1 meaning unlabeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, ParseError, ShapeError, check_fields
 from .numerics import Tensor
 
 
@@ -150,10 +151,7 @@ class SynthSpec:
     standardize: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         if self.latent_dim < 1 or self.classes < 1:
             raise ConfigError("latent dimension and class count must be positive")
         for d in (*self.source_dims, self.target_dim):
@@ -325,61 +323,78 @@ def save_domain_file(domain: DomainData, path) -> None:
 
     Floats get 17 significant digits so reading them back is lossless.
     """
-    feats = domain.features.array
-    lines = [f"{domain.n} {domain.dim} {domain.num_classes}"]
-    for i in range(domain.n):
-        label = -1 if domain.labels is None else int(domain.labels[i])
-        values = " ".join(f"{v:.17g}" for v in feats[i])
-        lines.append(f"{label} {values}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    labels = np.full(domain.n, -1) if domain.labels is None else domain.labels
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{domain.n} {domain.dim} {domain.num_classes}\n")
+        np.savetxt(fh, np.column_stack([labels, domain.features.array]),
+                   fmt=["%d"] + ["%.17g"] * domain.dim)
 
 
 def load_domain_file(path) -> DomainData:
-    """Parse a domain file; all labels -1 means an unlabeled domain."""
+    """Parse a domain file; all labels -1 means an unlabeled domain.
+
+    One `np.loadtxt` call parses the body; only a malformed body is read
+    again, row by row, to name its first bad line.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    with path.open(encoding="utf-8") as fh:
+        first, has_rows = fh.readline().strip(), any(line.strip() for line in fh)
+    if not first:
         raise ParseError(f"{path}: missing header", line=1)
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 3:
-        raise ParseError(f"{path}: header must be 'n d C', got {lines[0].strip()!r}", line=1)
+        raise ParseError(f"{path}: header must be 'n d C', got {first!r}", line=1)
     try:
         n, d, num_classes = (int(v) for v in header)
     except ValueError:
-        raise ParseError(f"{path}: header fields must be integers, got {lines[0].strip()!r}", line=1)
+        raise ParseError(f"{path}: header fields must be integers, got {first!r}", line=1)
     if n < 1 or d < 1 or num_classes < 1:
         raise ParseError(f"{path}: header values must be positive", line=1)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    if not has_rows:  # loadtxt would only warn about an empty body
+        _raise_first_bad_row(path, n, d, num_classes, "no rows")
+    try:
+        table = np.loadtxt(path, dtype=np.float64, skiprows=1, comments=None, ndmin=2,
+                           encoding="utf-8")
+    except ValueError as exc:
+        _raise_first_bad_row(path, n, d, num_classes, str(exc))
+    raw = table[:, 0]
+    bad_labels = (raw != np.trunc(raw)) | (raw < -1) | (raw >= num_classes)
+    if table.shape != (n, d + 1) or np.any(bad_labels):
+        _raise_first_bad_row(path, n, d, num_classes, f"body has shape {table.shape}")
+    if not np.all(np.isfinite(table[:, 1:])):
+        raise ParseError(f"{path}: non-finite feature values")
+    labels = raw.astype(np.int64)
+    if np.any(labels == -1) and not np.all(labels == -1):
+        raise ParseError(
+            f"{path}: mixes labeled and unlabeled rows; split them into separate files"
+        )
+    unlabeled = labels[0] == -1
+    return DomainData(path.stem, Tensor(table[:, 1:]), None if unlabeled else labels, num_classes)
+
+
+def _raise_first_bad_row(path: Path, n: int, d: int, num_classes: int, fallback: str) -> NoReturn:
+    """Raise the `ParseError` of the first row rule the body breaks.
+
+    Lines are numbered as in the file, blank ones included. If no rule
+    names a line (a token that `float()` reads but numpy does not), the
+    error carries `fallback`, numpy's message.
+    """
+    with path.open(encoding="utf-8") as fh:
+        lines = fh.readlines()
+    body = [(i, ln.split()) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n:
         raise ParseError(f"{path}: header promises {n} rows, found {len(body)}", line=len(lines))
-    features = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    for i, raw in enumerate(body):
-        lineno = i + 2
-        parts = raw.split()
+    for lineno, parts in body:
         if len(parts) != d + 1:
             raise ParseError(
                 f"{path}: row has {len(parts) - 1} features, expected {d}", line=lineno
             )
         try:
-            label = int(parts[0])
-            row = [float(v) for v in parts[1:]]
+            label = [float(v) for v in parts][0]
         except ValueError:
             raise ParseError(f"{path}: non-numeric value in row", line=lineno)
+        if not label.is_integer():
+            raise ParseError(f"{path}: label {parts[0]} is not an integer", line=lineno)
         if label < -1 or label >= num_classes:
-            raise ParseError(
-                f"{path}: label {label} outside [-1, {num_classes})", line=lineno
-            )
-        labels[i] = label
-        features[i] = row
-    if not np.all(np.isfinite(features)):
-        raise ParseError(f"{path}: non-finite feature values")
-    name = path.stem
-    if np.all(labels == -1):
-        return DomainData(name, Tensor(features), None, num_classes)
-    if np.any(labels == -1):
-        raise ParseError(
-            f"{path}: mixes labeled and unlabeled rows; split them into separate files"
-        )
-    return DomainData(name, Tensor(features), labels, num_classes)
+            raise ParseError(f"{path}: label {parts[0]} outside [-1, {num_classes})", line=lineno)
+    raise ParseError(f"{path}: {fallback}")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config field check."""
+
+import math
+import numbers
+from dataclasses import fields
 
 
 class ShapeError(ValueError):
@@ -30,3 +34,20 @@ class NonFiniteError(ValueError):
         self.iteration, self.records = iteration, list(records)
         where = "" if iteration is None else f"iteration {iteration}: "
         super().__init__(f"{where}{quantity} is not finite")
+
+
+def check_fields(config) -> None:
+    """Raise `ConfigError` naming the first field of the dataclass `config`
+    that holds a non-finite float, or a non-integer (a `bool` included) in
+    an `int` field or among a `tuple[int, ...]` field's entries.
+
+    Field types are matched as the strings that `from __future__ import
+    annotations` leaves in `dataclasses.fields`.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        ints = {"int": (value,), "tuple[int, ...]": value}.get(f.type, ())
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in ints):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")

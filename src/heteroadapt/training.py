@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import MultiSourceTask
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError, check_fields
 from .model import (
     LG_NORMS,
     WEIGHTINGS,
@@ -77,10 +77,7 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         if self.beta < 0 or self.tau < 0:
             raise ConfigError("beta and tau must be non-negative")
         if self.d_c < 1 or self.hidden < 1:

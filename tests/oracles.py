@@ -5,6 +5,8 @@ no shared code with the package) so a defect in the vectorized/tape paths
 cannot hide in its own oracle.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -244,3 +246,14 @@ def three_forward_train(task, config):
             target_acc,
         ))
     return records, params
+
+
+def fstring_save_domain_file(domain, path):
+    """The per-value f-string domain-file writer that `np.savetxt` replaced."""
+    feats = domain.features.array
+    lines = [f"{domain.n} {domain.dim} {domain.num_classes}"]
+    for i in range(domain.n):
+        label = -1 if domain.labels is None else int(domain.labels[i])
+        values = " ".join(f"{v:.17g}" for v in feats[i])
+        lines.append(f"{label} {values}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

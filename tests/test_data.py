@@ -1,9 +1,11 @@
 """Synthetic generation, the sampling protocol, and domain file round-trips."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import fstring_save_domain_file
 
 from heteroadapt.data import (
     DomainData,
@@ -157,6 +159,18 @@ class TestSyntheticGeneration:
     def test_non_finite_float_rejected_by_name(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SynthSpec(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("classes", 2.5), ("samples_per_class", 10.0), ("seed", False),
+        ("source_dims", (16.5, 24)), ("source_dims", (16, True)), ("target_dim", np.float64(32)),
+    ])
+    def test_non_integer_in_int_field_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            SynthSpec(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = SynthSpec(source_dims=(np.int64(16), 24), classes=np.int32(3))
+        assert spec.source_dims[0] == 16
 
     def test_dimension_below_latent_rejected(self):
         with pytest.raises(ConfigError, match="latent"):
@@ -324,3 +338,58 @@ class TestDomainFiles:
         back = load_domain_file(path)
         assert back.labels is None
         assert np.array_equal(back.features.array, d.features.array)
+
+
+class TestDomainFileRules:
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "blank.txt"
+        p.write_text("3 2 2\n0 1.0 2.0\n\n1 1.0\n0 1 2\n")
+        with pytest.raises(ParseError, match="line 4: .*row has 1 features") as err:
+            load_domain_file(p)
+        assert err.value.line == 4
+
+    def test_header_only_names_row_count_without_warning(self, tmp_path):
+        p = tmp_path / "header.txt"
+        for text, line in (("3 2 2\n", 1), ("3 2 2\n\n  \n", 3)):
+            p.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParseError, match="promises 3 rows, found 0") as err:
+                    load_domain_file(p)
+            assert err.value.line == line
+
+    def test_integral_float_label_accepted(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_text("2 1 3\n2.0 1.5\n0 -1\n")
+        np.testing.assert_array_equal(load_domain_file(p).labels, [2, 0])
+
+    @pytest.mark.parametrize("token", ["2.5", "nan", "inf"])
+    def test_non_integral_label_names_line(self, tmp_path, token):
+        p = tmp_path / "f.txt"
+        p.write_text(f"2 1 3\n0 1.0\n{token} 2.0\n")
+        with pytest.raises(ParseError, match=f"line 3: .*label {token} is not an integer"):
+            load_domain_file(p)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_token_only_python_float_reads_is_rejected(self, tmp_path, token):
+        # numpy's float syntax has no digit separators or non-ASCII digits
+        p = tmp_path / "f.txt"
+        p.write_text(f"1 1 2\n0 {token}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="could not convert"):
+            load_domain_file(p)
+
+    @pytest.mark.parametrize("row", ["0 nan", "0 1e500"])
+    def test_non_finite_feature_rejected(self, tmp_path, row):
+        p = tmp_path / "f.txt"
+        p.write_text(f"2 1 2\n1 1.0\n{row}\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            load_domain_file(p)
+
+    def test_writer_bytes_match_per_value_formatting(self, tmp_path):
+        edges = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                 1e16, 1e17, 0.1, 123456789.0, -2.5e-7, 1.0 / 3.0]
+        for labels in (np.arange(len(edges)) % 3, None):
+            d = DomainData("e", Tensor(np.array(edges).reshape(-1, 1) * [1.0, -1.0]), labels, 3)
+            save_domain_file(d, tmp_path / "new.txt")
+            fstring_save_domain_file(d, tmp_path / "old.txt")
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()

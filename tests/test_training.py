@@ -80,6 +80,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("d_c", 8.5), ("hidden", 8.0), ("iterations", True), ("seed", np.float64(1.0)),
+    ])
+    def test_non_integer_in_int_field_rejected_by_name(self, name, value):
+        # without this check d_c=8.5 dies later as a bare TypeError inside numpy
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        assert TrainConfig(d_c=np.int64(8), iterations=np.int32(2)).d_c == 8
+
 
 class TestInit:
     def test_same_seed_bit_identical(self):
