@@ -101,8 +101,9 @@ def _config_entries(config: TrainConfig) -> dict:
     return {f"config.{f.name}": getattr(config, f.name) for f in fields(config)}
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per `TrainConfig` field, stored under the field's name."""
+def _add_model_flags(parser: argparse.ArgumentParser) -> argparse.Action:
+    """One flag per `TrainConfig` field, stored under the field's name;
+    returns the `--seed` action."""
     cfg = TrainConfig()
     parser.add_argument("--beta", type=float, default=cfg.beta)
     parser.add_argument("--tau", type=float, default=cfg.tau)
@@ -112,10 +113,11 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr-fg", type=float, default=cfg.lr_fg)
     parser.add_argument("--lr-d", type=float, default=cfg.lr_d)
     parser.add_argument("--iters", dest="iterations", type=int, default=cfg.iterations)
-    parser.add_argument("--seed", type=int, default=cfg.seed)
+    seed = parser.add_argument("--seed", type=int, default=cfg.seed)
     parser.add_argument("--lg", dest="lg_norm", choices=LG_NORMS, default=cfg.lg_norm)
     parser.add_argument("--weighting", choices=WEIGHTINGS, default=cfg.weighting)
     parser.add_argument("--leaky-slope", type=float, default=cfg.leaky_slope)
+    return seed
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -162,14 +164,10 @@ def cmd_synth(args) -> int:
     started = time.time()
     spec = _synth_spec_from_args(args, args.seed, standardize=not args.no_standardize)
     out = _out_dir(args)
-    domains = generate_synthetic_domains(spec)
     paths = []
-    for domain, dim in zip(domains[:-1], spec.source_dims):
-        paths.append(out / f"{domain.name}_d{dim}.txt")
+    for domain in generate_synthetic_domains(spec):
+        paths.append(out / f"{domain.name}_d{domain.dim}.txt")
         save_domain_file(domain, paths[-1])
-    target_path = out / f"target_d{spec.target_dim}.txt"
-    save_domain_file(domains[-1], target_path)
-    paths.append(target_path)
     entries = {
         "command": "synth",
         "version": __version__,
@@ -332,8 +330,8 @@ def cmd_experiment(args) -> int:
         (out / "noise_weights.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         entries.update(provenance)
         entries["noise_dim"] = args.noise_dim
-    else:  # sweep
-        spec = _synth_spec_from_args(args, args.task_seed)
+    else:  # sweep: every run regenerates the data from its own seed
+        spec = _synth_spec_from_args(args, seed=0)
         ns_values = [int(v) for v in args.ns.split(",") if v.strip()]
         summaries = run_source_sweep(spec, ns_values, seeds, config, jobs=args.jobs)
         write_summary_csvs(out / "runs.csv", out / "aggregate.csv", "sweep", summaries)
@@ -377,22 +375,20 @@ def build_parser() -> _Parser:
     exp.add_argument("mode", choices=["ablate", "noise", "sweep"])
     exp.add_argument("--seeds", default="0..9")
     exp.add_argument("--jobs", type=int, default=1)
-    task_seed = exp.add_argument("--task-seed", type=int, default=0)
-    exp.set_defaults(readers={
+    exp.add_argument("--out", required=True)
+    split_seed = _add_model_flags(exp)  # runs are seeded by --seeds; --seed seeds a file split
+    exp.set_defaults(func=cmd_experiment, readers={
         "ablate": [exp.add_argument("--variants", default=",".join(sorted(ABLATION_VARIANTS)))],
         "noise": [exp.add_argument("--noise-dim", type=int, default=20)],
-        "sweep": [exp.add_argument("--ns", default="0,2,4,6,8,10"), task_seed,
+        "sweep": [exp.add_argument("--ns", default="0,2,4,6,8,10"),
                   exp.add_argument("--dims", default=DEFAULT_SWEEP_DIMS),
                   *_add_synth_flags(exp)],
         "files": [exp.add_argument("--source", action="append", default=[]),
                   exp.add_argument("--target"),
                   exp.add_argument("--labeled-per-class", type=int, default=3),
-                  exp.add_argument("--standardize", action="store_true")],
-        "builtin": [task_seed],
+                  exp.add_argument("--standardize", action="store_true"), split_seed],
+        "builtin": [exp.add_argument("--task-seed", type=int, default=0)],
     })
-    exp.add_argument("--out", required=True)
-    _add_model_flags(exp)
-    exp.set_defaults(func=cmd_experiment)
     return parser
 
 

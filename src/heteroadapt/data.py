@@ -359,42 +359,46 @@ def load_domain_file(path) -> DomainData:
         _raise_first_bad_row(path, n, d, num_classes, str(exc))
     raw = table[:, 0]
     bad_labels = (raw != np.trunc(raw)) | (raw < -1) | (raw >= num_classes)
-    if table.shape != (n, d + 1) or np.any(bad_labels):
+    unlabeled = raw == -1
+    if (table.shape != (n, d + 1) or np.any(bad_labels)
+            or not np.all(np.isfinite(table[:, 1:])) or np.any(unlabeled != unlabeled[0])):
         _raise_first_bad_row(path, n, d, num_classes, f"body has shape {table.shape}")
-    if not np.all(np.isfinite(table[:, 1:])):
-        raise ParseError(f"{path}: non-finite feature values")
-    labels = raw.astype(np.int64)
-    if np.any(labels == -1) and not np.all(labels == -1):
-        raise ParseError(
-            f"{path}: mixes labeled and unlabeled rows; split them into separate files"
-        )
-    unlabeled = labels[0] == -1
-    return DomainData(path.stem, Tensor(table[:, 1:]), None if unlabeled else labels, num_classes)
+    labels = None if unlabeled[0] else raw.astype(np.int64)
+    return DomainData(path.stem, Tensor(table[:, 1:]), labels, num_classes)
 
 
 def _raise_first_bad_row(path: Path, n: int, d: int, num_classes: int, fallback: str) -> NoReturn:
     """Raise the `ParseError` of the first row rule the body breaks.
 
-    Lines are numbered as in the file, blank ones included. If no rule
-    names a line (a token that `float()` reads but numpy does not), the
-    error carries `fallback`, numpy's message.
+    Lines are numbered as in the file, blank ones included, and each row
+    is converted by numpy's reader, as the body parse converts it. If no
+    rule names a line, the error carries `fallback`.
     """
     with path.open(encoding="utf-8") as fh:
         lines = fh.readlines()
-    body = [(i, ln.split()) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n:
         raise ParseError(f"{path}: header promises {n} rows, found {len(body)}", line=len(lines))
-    for lineno, parts in body:
+    kinds = set()  # whether a row is unlabeled, over the rows so far
+    for lineno, line in body:
+        parts = line.split()
         if len(parts) != d + 1:
             raise ParseError(
                 f"{path}: row has {len(parts) - 1} features, expected {d}", line=lineno
             )
         try:
-            label = [float(v) for v in parts][0]
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric value in row", line=lineno)
+            label, *features = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=1)
+        except ValueError as exc:  # numpy's own position would count rows of this one line
+            reason = str(exc).rsplit(" at row", 1)[0]
+            raise ParseError(f"{path}: non-numeric value in row ({reason})", line=lineno) from None
         if not label.is_integer():
             raise ParseError(f"{path}: label {parts[0]} is not an integer", line=lineno)
         if label < -1 or label >= num_classes:
             raise ParseError(f"{path}: label {parts[0]} outside [-1, {num_classes})", line=lineno)
+        if not np.all(np.isfinite(features)):
+            raise ParseError(f"{path}: non-finite feature values", line=lineno)
+        kinds.add(label == -1)
+        if len(kinds) > 1:
+            raise ParseError(f"{path}: mixes labeled and unlabeled rows; split them into "
+                             "separate files", line=lineno)
     raise ParseError(f"{path}: {fallback}")

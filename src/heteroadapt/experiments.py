@@ -280,12 +280,7 @@ def run_noise_detection(task: MultiSourceTask, noise_dim: int, seeds,
         noise = generate_noise_domain(
             noise_dim, n, task.num_classes, _derived_seed(seed, 0x6E01)
         )
-        noisy = MultiSourceTask.build(
-            (*task.sources, noise),
-            task.target_labeled,
-            replace(task.target_unlabeled, labels=task.eval_labels),
-        )
-        return train(noisy, replace(config, seed=seed))
+        return train(replace(task, sources=(*task.sources, noise)), replace(config, seed=seed))
 
     traces = _map_jobs(one, seeds, jobs)
     weights = np.array([t.records[-1].weights for t in traces])

@@ -47,12 +47,11 @@ SOURCE_DOMAIN_LABEL = np.array([1.0, 0.0])
 TARGET_DOMAIN_LABEL = np.array([0.0, 1.0])
 
 
-def domain_label_rows(n: int, is_target: bool, inverted: bool) -> np.ndarray:
-    """(n, 2) one-hot domain labels; `inverted` swaps the two components."""
-    base = TARGET_DOMAIN_LABEL if is_target else SOURCE_DOMAIN_LABEL
-    if inverted:
-        base = base[::-1]
-    return np.tile(base, (n, 1))
+def domain_labels(inverted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (2,) one-hot label rows of the source and the target side;
+    `inverted` swaps their components, which swaps the two rows."""
+    rows = (SOURCE_DOMAIN_LABEL, TARGET_DOMAIN_LABEL)
+    return rows[::-1] if inverted else rows
 
 
 # -- parameter containers ----------------------------------------------------
@@ -288,7 +287,7 @@ def embed_task(model: ModelParams, tape: Tape, task: MultiSourceTask,
 # -- losses ---------------------------------------------------------------------
 
 
-def consistency_loss(tape: Tape, model: ModelParams, norm: str = "l1") -> Node:
+def consistency_loss(model: ModelParams, norm: str = "l1") -> Node:
     """Disagreement between each source's second layer and the target's.
 
     Weights and biases are concatenated per layer; `l1` sums absolute
@@ -296,11 +295,12 @@ def consistency_loss(tape: Tape, model: ModelParams, norm: str = "l1") -> Node:
     """
     if norm not in ("l1", "l2"):
         raise ConfigError(f"consistency norm must be 'l1' or 'l2', got {norm!r}")
+    if not model.sources:
+        raise ConfigError("the consistency loss needs at least one source")
     reduce = sum_abs if norm == "l1" else sum_sq
-    total = tape.constant(0.0)
-    for t in model.sources:
-        total = total + reduce(t.w2 - model.target.w2) + reduce(t.b2 - model.target.b2)
-    return total
+    first, *rest = [reduce(own - shared) for t in model.sources
+                    for own, shared in ((t.w2, model.target.w2), (t.b2, model.target.b2))]
+    return sum(rest, first)  # left to right; traces depend on it
 
 
 def _class_indicators(labels, num_classes: int) -> np.ndarray:
@@ -413,15 +413,10 @@ def classification_loss(
     for w_k, emb_k, source in zip(weights, emb.sources, task.sources):
         total = total + w_k * softmax_cross_entropy(classify(model, emb_k), source.labels)
     if tau > 0.0:
-        seen: set[int] = set()
-        penalty = None
         matrices = [w for t in (*model.sources, model.target) for w in (t.w1, t.w2)]
-        for node in [model.classifier.w] + matrices:
-            if node.index in seen:  # a shared second layer counts once
-                continue
-            seen.add(node.index)
-            penalty = sum_sq(node) if penalty is None else penalty + sum_sq(node)
-        total = total + tau * penalty
+        # a shared second layer is one node, so it counts once
+        first, *rest = [sum_sq(node) for node in dict.fromkeys([model.classifier.w, *matrices])]
+        total = total + tau * sum(rest, first)
     return total
 
 
@@ -434,20 +429,15 @@ def domain_loss(
     """Squared error between discriminator outputs and (optionally swapped)
     one-hot domain labels, averaged per domain; source terms are weighted,
     the target term covers labeled and unlabeled samples together."""
+    source_label, target_label = domain_labels(inverted)
     n_l = emb.target_labeled.shape[0]
     n_u = emb.target_unlabeled.shape[0]
     n_t = n_l + n_u
-    se_l = squared_error(
-        discriminate(model, emb.target_labeled), domain_label_rows(n_l, True, inverted)
-    )
-    se_u = squared_error(
-        discriminate(model, emb.target_unlabeled), domain_label_rows(n_u, True, inverted)
-    )
+    se_l = squared_error(discriminate(model, emb.target_labeled), target_label)
+    se_u = squared_error(discriminate(model, emb.target_unlabeled), target_label)
     total = se_l * (n_l / n_t) + se_u * (n_u / n_t)
     for w_k, emb_k in zip(weights, emb.sources):
-        n_k = emb_k.shape[0]
-        se_k = squared_error(discriminate(model, emb_k), domain_label_rows(n_k, False, inverted))
-        total = total + w_k * se_k
+        total = total + w_k * squared_error(discriminate(model, emb_k), source_label)
     return total
 
 
@@ -509,9 +499,10 @@ def embedding_pass(
     Without supplied soft labels they come from classifying the unlabeled
     target embedding; those logits are kept for evaluation. Divergences are
     built for every source under either weighting (`ones` runs still record
-    them); only conditional weighting with two or more sources turns them
-    into weight nodes. The divergences build the target class means once
-    and share them across sources (see `divergence_nodes`). Node order
+    them); only conditional weighting turns them into weight nodes, and
+    `source_weight_nodes` gives a single source weight 1. The divergences
+    build the target class means once and share them across sources (see
+    `divergence_nodes`). Node order
     matters for bit-exact gradients: `Tape.backward` sums contributions
     into a shared embedding in reverse tape order, so the classification
     logits must come after the divergences, where `transformer_objective`
@@ -527,7 +518,7 @@ def embedding_pass(
         soft_logits = classify(model, emb.target_unlabeled)
         soft = softmax_values(soft_logits.value)
     deltas = divergence_nodes(emb, task, soft)
-    conditional = weighting == "conditional" and task.num_sources >= 2
+    conditional = weighting == "conditional"
     weights = source_weight_nodes(deltas) if conditional else [1.0] * task.num_sources
     return EmbeddingPass(tape, model, emb, soft_logits, deltas, weights)
 
@@ -554,7 +545,7 @@ def transformer_objective(
     cls = classification_loss(model, emb, task, weights, tau)
     cons = None
     if lg_norm in ("l1", "l2") and task.num_sources >= 1:
-        cons = consistency_loss(tape, model, lg_norm)
+        cons = consistency_loss(model, lg_norm)
     inv = domain_loss(model, emb, weights, inverted=True)
 
     objective = cls
@@ -567,22 +558,17 @@ def transformer_objective(
 
 def build_discriminator_objective(
     params: ModelParams,
-    embedding_values: tuple,
+    emb: TaskEmbeddings,
     weights: Sequence[float],
-) -> tuple[Tape, Node]:
-    """Assemble the loss minimized over the discriminator alone.
+) -> Node:
+    """The loss minimized over the discriminator alone, on its own tape.
 
-    `embedding_values` holds the frozen embeddings as arrays: the list of
-    source embeddings, the labeled target's, and the unlabeled target's.
-    Only the discriminator is lifted, as trainable leaves; the embeddings
-    and weights are constants (read-only arrays, such as another tape's
-    node values, are aliased rather than copied).
+    Only the discriminator is lifted, as trainable leaves; `emb`'s node
+    values (read-only, so aliased) and the weights enter as constants.
     """
     tape = Tape()
     model = lift_discriminator(tape, params, params.discriminator, trainable=True)
-    src_vals, lab_val, unlab_val = embedding_values
-    emb = TaskEmbeddings(
-        [tape.constant(v) for v in src_vals], tape.constant(lab_val), tape.constant(unlab_val)
-    )
-    loss = domain_loss(model, emb, [float(w) for w in weights], inverted=False)
-    return tape, loss
+    frozen = TaskEmbeddings([tape.constant(e.value) for e in emb.sources],
+                            tape.constant(emb.target_labeled.value),
+                            tape.constant(emb.target_unlabeled.value))
+    return domain_loss(model, frozen, [float(w) for w in weights], inverted=False)

@@ -446,21 +446,18 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
 
 
 def squared_error(pred: Node, target) -> Node:
-    """Mean over rows of the squared row difference (summed across columns)."""
-    target = _lift(pred.tape, target)
-    tape = _same_tape(pred, target)
-    pv, tv = pred.value, target.value
-    if pv.ndim != 2 or pv.shape != tv.shape:
+    """Mean over rows of the squared row difference (summed across columns).
+
+    `target` is constant data, one row per row of `pred` or one row shared
+    by all; it stays off the tape, and gradients flow only into `pred`.
+    """
+    pv, tv = pred.value, _as_array(target)
+    if pv.ndim != 2 or tv.shape not in (pv.shape, pv.shape[1:]):
         raise ShapeError(f"squared_error shapes differ: {pv.shape} vs {tv.shape}")
     n = pv.shape[0]
     diff = pv - tv
     out = np.sum(diff * diff) / n
-    return tape.append(
-        "squared_error",
-        out,
-        (pred.index, target.index),
-        (lambda g: g * 2.0 * diff / n, lambda g: g * (-2.0) * diff / n),
-    )
+    return pred.tape.append("squared_error", out, (pred.index,), (lambda g: g * 2.0 * diff / n,))
 
 
 # -- optimizer ---------------------------------------------------------------

@@ -10,8 +10,7 @@ transformer on it once; everything else is read off that tape's values:
 3. build the target class means once, as one weighted row sum per target
    split, then one class-conditional divergence per source against them
    (under either weighting, since `ones` runs still record them) and,
-   with conditional weighting and two or more sources, the source-weight
-   nodes;
+   with conditional weighting, the source-weight nodes;
 4. take one discriminator Adam step against the true domain labels, on the
    embedding values and the weights' values as constants;
 5. lift the updated discriminator onto the same tape as constants, add the
@@ -186,17 +185,13 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     deltas = tuple(float(d.value) for d in fwd.deltas)
     _check_finite((f"delta_{k + 1}", d) for k, d in enumerate(deltas))
     weights = tuple(float(w.value) if isinstance(w, Node) else w for w in fwd.weights)
-    emb = fwd.emb
-    emb_values = (
-        [e.value for e in emb.sources], emb.target_labeled.value, emb.target_unlabeled.value
-    )
 
-    d_tape, d_loss = build_discriminator_objective(params, emb_values, weights)
+    d_loss = build_discriminator_objective(params, fwd.emb, weights)
     loss_d = float(d_loss.value)
     _check_finite([("loss_d", loss_d)])
-    d_grads = _gradients(d_tape, d_loss, params, d_parameters(params))
+    d_grads = _gradients(d_loss, params, d_parameters(params))
     params = replace_d(params, opt_d.step(d_parameters(params), d_grads))
-    del d_tape, d_loss, d_grads
+    del d_loss, d_grads
 
     obj = transformer_objective(
         fwd, params.discriminator, task,
@@ -207,7 +202,7 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     loss_dg_inv = float(obj.inverted_domain.value)
     _check_finite([("loss_fg", loss_fg), ("loss_lg", loss_lg), ("loss_dg_inv", loss_dg_inv),
                    ("objective", float(obj.objective.value))])
-    fg_grads = _gradients(fwd.tape, obj.objective, params, fg_parameters(params))
+    fg_grads = _gradients(obj.objective, params, fg_parameters(params))
     params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
 
     target_acc = _hit_rate(fwd.soft_logits.value, task.eval_labels)
@@ -220,11 +215,11 @@ def _check_finite(named) -> None:
             raise NonFiniteError(name)
 
 
-def _gradients(tape, loss: Node, params: ModelParams, leaves) -> list[Tensor]:
-    """`tape.backward(loss)` for `leaves` of `params`, lifted in that order;
-    a gradient that is not finite is named by its place in `params`."""
+def _gradients(loss: Node, params: ModelParams, leaves) -> list[Tensor]:
+    """`loss.tape.backward(loss)` for `leaves` of `params`, lifted in that
+    order; a gradient that is not finite is named by its place in `params`."""
     try:
-        return tape.backward(loss)
+        return loss.tape.backward(loss)
     except NonFiniteError as exc:
         leaf = leaves[exc.position]
         owners = [("target", params.target),

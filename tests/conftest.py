@@ -13,11 +13,11 @@ from heteroadapt.model import (
     ModelParams,
     TransformerParams,
     classifier_logits,
+    embed_task,
     lift_discriminator,
     lift_fg,
-    transform_values,
 )
-from heteroadapt.numerics import Tensor, scale, softmax_values, sum_sq
+from heteroadapt.numerics import Tape, Tensor, scale, softmax_values, sum_sq
 
 try:
     from hypothesis import settings
@@ -79,13 +79,10 @@ def target_soft(params, features, slope=0.01):
     return softmax_values(classifier_logits(params, params.target, features, slope))
 
 
-def embedding_values(params, task, slope=0.01):
-    """Every domain's embedding as arrays, in `build_discriminator_objective` form."""
-    return (
-        [transform_values(t, s.features, slope) for t, s in zip(params.sources, task.sources)],
-        transform_values(params.target, task.target_labeled.features, slope),
-        transform_values(params.target, task.target_unlabeled.features, slope),
-    )
+def frozen_embeddings(params, task, slope=0.01):
+    """Every domain of `task` embedded on a tape of constants."""
+    tape = Tape()
+    return embed_task(frozen_model(tape, params), tape, task, slope)
 
 
 def make_task(source_x, source_y, labeled_x, labeled_y, unlabeled_x, num_classes):

@@ -209,12 +209,9 @@ def three_forward_train(task, config):
                                 for w in source_weight_nodes(delta_nodes)])
         else:
             weights = np.ones(task.num_sources)
-        emb_values = (
-            [e.value for e in emb.sources], emb.target_labeled.value, emb.target_unlabeled.value
-        )
-        d_tape, d_loss = build_discriminator_objective(params, emb_values, weights)
+        d_loss = build_discriminator_objective(params, emb, weights)
         loss_d = float(d_loss.value)
-        params = replace_d(params, opt_d.step(d_parameters(params), d_tape.backward(d_loss)))
+        params = replace_d(params, opt_d.step(d_parameters(params), d_loss.tape.backward(d_loss)))
 
         # forward 2: the transformer objective on its own tape
         tape = Tape()
@@ -227,7 +224,7 @@ def three_forward_train(task, config):
         cls = classification_loss(model, emb, task, live, config.tau)
         cons = None
         if config.lg_norm in ("l1", "l2"):
-            cons = consistency_loss(tape, model, config.lg_norm)
+            cons = consistency_loss(model, config.lg_norm)
         inv = domain_loss(model, emb, live, inverted=True)
         objective = cls if cons is None else cls + cons
         if config.beta > 0.0:

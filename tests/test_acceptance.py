@@ -7,7 +7,7 @@ criteria. Everything is seeded; reruns are bit-identical.
 
 import numpy as np
 import pytest
-from conftest import embedding_values, make_params, make_task, target_soft
+from conftest import frozen_embeddings, make_params, make_task, target_soft
 from oracles import naive_class_conditional_mmd
 
 from heteroadapt.cli import main as cli_main
@@ -189,12 +189,11 @@ def test_c04_gradient_correctness():
     err_fg = grad_check(fg_loss, fg_parameters(params))
     assert err_fg < 1e-4, f"transformer objective gradient error {err_fg}"
 
-    emb_values = embedding_values(params, task)
+    emb = frozen_embeddings(params, task)
 
     def d_loss(tensors):
         rebuilt = replace_d(params, tensors)
-        _, loss = build_discriminator_objective(rebuilt, emb_values, [0.6, 0.8])
-        return loss
+        return build_discriminator_objective(rebuilt, emb, [0.6, 0.8])
 
     err_d = grad_check(d_loss, d_parameters(params))
     assert err_d < 1e-4, f"discriminator objective gradient error {err_d}"

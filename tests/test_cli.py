@@ -9,6 +9,7 @@ from conftest import overflow_gradient_at_third_step
 
 from heteroadapt.cli import (
     _config_from_args,
+    _experiment_task,
     _synth_spec_from_args,
     build_parser,
     main,
@@ -358,6 +359,7 @@ class TestExperiment:
         ("ablate", ["--ns", "2", "--noise-dim", "4"], "--noise-dim, --ns"),
         ("ablate", ["--source", "s.txt", "--target", "t.txt", "--task-seed", "2"],
          "--task-seed"),
+        ("ablate", ["--seed", "7"], "--seed"),
     ])
     def test_ablate_rejects_flags_it_does_not_read(self, tmp_path, capsys, mode, flags, named):
         self._assert_rejected(tmp_path, capsys, mode, flags, named)
@@ -368,6 +370,7 @@ class TestExperiment:
          "--target-labeled-per-class, --target-unlabeled"),
         ("noise", ["--standardize"], "--standardize"),
         ("noise", ["--variants", "full"], "--variants"),
+        ("noise", ["--seed", "7"], "--seed"),
     ])
     def test_noise_rejects_flags_it_does_not_read(self, tmp_path, capsys, mode, flags, named):
         self._assert_rejected(tmp_path, capsys, mode, flags, named)
@@ -376,6 +379,8 @@ class TestExperiment:
         ("sweep", ["--labeled-per-class", "50", "--standardize"],
          "--labeled-per-class, --standardize"),
         ("sweep", ["--noise-dim", "4"], "--noise-dim"),
+        ("sweep", ["--task-seed", "5"], "--task-seed"),
+        ("sweep", ["--task-seed", "5", "--seed", "7"], "--seed, --task-seed"),
     ])
     def test_sweep_rejects_flags_it_does_not_read(self, tmp_path, capsys, mode, flags, named):
         self._assert_rejected(tmp_path, capsys, mode, flags, named)
@@ -386,6 +391,22 @@ class TestExperiment:
         assert code != 0
         assert err == f"error: experiment {mode} does not read {named}\n"
         assert not out.exists()
+
+    def test_file_task_split_follows_seed(self, tmp_path, capsys):
+        *sources, target = synth_tiny(tmp_path / "data", capsys)
+        files = [arg for path in sources for arg in ("--source", str(path))]
+        files += ["--target", str(target)]
+        splits = []
+        for seed in ("0", "3"):
+            out = tmp_path / f"seed{seed}"
+            argv = self._common(out, ["ablate", "--variants", "full", "--seeds", "0",
+                                      *files, "--seed", seed])
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, err
+            assert f"config.seed = {seed}" in (out / "manifest.txt").read_text()
+            task, _ = _experiment_task(build_parser().parse_args(argv))
+            splits.append(task.target_labeled.features.array)
+        assert not np.array_equal(*splits)
 
     def test_unknown_variant_fails(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -385,6 +385,18 @@ class TestDomainFileRules:
         with pytest.raises(ParseError, match="non-finite"):
             load_domain_file(p)
 
+    @pytest.mark.parametrize("row, match", [
+        ("1 nan 1.0", "non-finite feature values"),
+        ("-1 1.0 2.0", "mixes labeled and unlabeled rows"),
+        ("1 1_0 2.0", "non-numeric value in row .*could not convert string '1_0'"),
+    ])
+    def test_body_error_names_line_after_blank_lines(self, tmp_path, row, match):
+        p = tmp_path / "f.txt"
+        p.write_text(f"3 2 2\n0 1.0 2.0\n\n  \n{row}\n1 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 5: .*{match}") as err:
+            load_domain_file(p)
+        assert err.value.line == 5
+
     def test_writer_bytes_match_per_value_formatting(self, tmp_path):
         edges = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                  1e16, 1e17, 0.1, 123456789.0, -2.5e-7, 1.0 / 3.0]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
-    embedding_values,
+    frozen_embeddings,
     frozen_model,
     make_params,
     make_task,
@@ -265,29 +265,28 @@ class TestConsistencyLoss:
                 Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
             ),
         )
-        tape = Tape()
-        return tape, frozen_model(tape, params)
+        return frozen_model(Tape(), params)
 
     def test_identical_second_layers_give_zero(self):
-        tape, model = self._pair(0.0)
-        assert float(consistency_loss(tape, model, "l1").value) == 0.0
+        model = self._pair(0.0)
+        assert float(consistency_loss(model, "l1").value) == 0.0
 
     def test_l1_hand_value(self):
-        tape, model = self._pair(0.1)
-        assert float(consistency_loss(tape, model, "l1").value) == pytest.approx(0.4, abs=1e-12)
+        model = self._pair(0.1)
+        assert float(consistency_loss(model, "l1").value) == pytest.approx(0.4, abs=1e-12)
 
     def test_l2_hand_value(self):
-        tape, model = self._pair(0.1)
-        assert float(consistency_loss(tape, model, "l2").value) == pytest.approx(0.04, abs=1e-12)
+        model = self._pair(0.1)
+        assert float(consistency_loss(model, "l2").value) == pytest.approx(0.04, abs=1e-12)
 
     def test_zero_iff_identical_under_l1(self):
-        tape, model = self._pair(1e-9)
-        assert float(consistency_loss(tape, model, "l1").value) > 0.0
+        model = self._pair(1e-9)
+        assert float(consistency_loss(model, "l1").value) > 0.0
 
     def test_bad_norm_rejected(self):
-        tape, model = self._pair(0.0)
+        model = self._pair(0.0)
         with pytest.raises(ConfigError):
-            consistency_loss(tape, model, "linf")
+            consistency_loss(model, "linf")
 
     def test_invariant_under_source_permutation(self):
         rng = np.random.default_rng(17)
@@ -298,10 +297,13 @@ class TestConsistencyLoss:
         )
         vals = []
         for p in (params, permuted):
-            tape = Tape()
-            model = frozen_model(tape, p)
-            vals.append(float(consistency_loss(tape, model, "l1").value))
+            vals.append(float(consistency_loss(frozen_model(Tape(), p), "l1").value))
         assert vals[0] == pytest.approx(vals[1], rel=1e-14)
+
+    def test_no_sources_rejected(self):
+        model = self._pair(0.0)
+        with pytest.raises(ConfigError, match="at least one source"):
+            consistency_loss(replace(model, sources=()), "l1")
 
 
 def _mmd_value(source_emb, source_labels, lab_emb, lab_labels, C, unlab_emb=None, soft=None):
@@ -449,18 +451,14 @@ class TestSourceWeights:
 
 class TestDomainLabels:
     def test_true_and_inverted_are_component_swaps(self):
-        from heteroadapt.model import domain_label_rows
+        from heteroadapt.model import domain_labels
 
-        src = domain_label_rows(2, is_target=False, inverted=False)
-        tgt = domain_label_rows(2, is_target=True, inverted=False)
-        np.testing.assert_array_equal(src, [[1.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(tgt, [[0.0, 1.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(
-            domain_label_rows(2, is_target=False, inverted=True), tgt
-        )
-        np.testing.assert_array_equal(
-            domain_label_rows(2, is_target=True, inverted=True), src
-        )
+        src, tgt = domain_labels(inverted=False)
+        np.testing.assert_array_equal(src, [1.0, 0.0])
+        np.testing.assert_array_equal(tgt, [0.0, 1.0])
+        inverted_src, inverted_tgt = domain_labels(inverted=True)
+        np.testing.assert_array_equal(inverted_src, tgt)
+        np.testing.assert_array_equal(inverted_tgt, src)
 
 
 class TestDomainLoss:
@@ -591,6 +589,22 @@ class TestObjectives:
         assert fwd.weights == [1.0, 1.0]
         assert len(fwd.deltas) == 2
 
+    def test_only_data_and_frozen_parameters_are_tape_constants(self, toy_setup):
+        params, task = toy_setup
+        k = task.num_sources
+        fwd = embedding_pass(params, task)
+        transformer_objective(fwd, params.discriminator, task, beta=0.03, tau=0.004)
+        # the K+2 domains' features, then the frozen discriminator
+        assert fwd.tape._ops.count("const") == k + 2 + 4
+        loss = build_discriminator_objective(params, fwd.emb, [0.7, 0.9])
+        ops, values = loss.tape._ops, loss.tape._values
+        assert ops[:4] == ["param"] * 4 and ops.count("param") == 4
+        constants = [v for op, v in zip(ops, values) if op == "const"]
+        embedded = [e.value for e in (*fwd.emb.sources, fwd.emb.target_labeled,
+                                      fwd.emb.target_unlabeled)]
+        assert len(constants) == k + 2
+        assert all(np.shares_memory(c, e) for c, e in zip(constants, embedded))
+
     def test_ones_weights_reduce_to_unweighted_forms(self, toy_setup):
         # the weighted losses with w == 1 equal their unweighted originals
         params, task = toy_setup
@@ -598,7 +612,6 @@ class TestObjectives:
         model = frozen_model(tape, params)
         emb = embed_task(model, tape, task, 0.01)
         from heteroadapt.numerics import softmax_cross_entropy, squared_error
-        from heteroadapt.model import domain_label_rows
 
         weighted = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
         labels_t = task.target_labeled.labels
@@ -612,19 +625,13 @@ class TestObjectives:
         plain_d = 0.0
         for e in emb.sources:
             plain_d += float(
-                squared_error(
-                    discriminate(model, e), domain_label_rows(e.shape[0], False, False)
-                ).value
+                squared_error(discriminate(model, e), [[1.0, 0.0]] * e.shape[0]).value
             )
         se_l = float(
-            squared_error(
-                discriminate(model, emb.target_labeled), domain_label_rows(n_l, True, False)
-            ).value
+            squared_error(discriminate(model, emb.target_labeled), [[0.0, 1.0]] * n_l).value
         )
         se_u = float(
-            squared_error(
-                discriminate(model, emb.target_unlabeled), domain_label_rows(n_u, True, False)
-            ).value
+            squared_error(discriminate(model, emb.target_unlabeled), [[0.0, 1.0]] * n_u).value
         )
         plain_d += (n_l * se_l + n_u * se_u) / (n_l + n_u)
         assert weighted_d == pytest.approx(plain_d, rel=1e-12)
@@ -646,12 +653,11 @@ class TestObjectives:
     def test_discriminator_gradients(self, toy_setup):
         params, task = toy_setup
         weights = [0.7, 0.9]
-        emb_values = embedding_values(params, task)
+        emb = frozen_embeddings(params, task)
 
         def fn(tensors):
             rebuilt = replace_d(params, tensors)
-            tape, loss = build_discriminator_objective(rebuilt, emb_values, weights)
-            return loss
+            return build_discriminator_objective(rebuilt, emb, weights)
 
         assert grad_check(fn, d_parameters(params)) < 1e-4
 

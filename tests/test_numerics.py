@@ -179,6 +179,21 @@ class TestLosses:
         with pytest.raises(ShapeError):
             squared_error(tape.constant(np.ones((2, 2))), np.ones((2, 3)))
 
+    def test_shared_target_row_equals_per_row_targets_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        pred, row = rng.uniform(-2, 2, (5, 2)), np.array([0.0, 1.0])
+        results = []
+        for target in (row, np.tile(row, (5, 1))):
+            tape = Tape()
+            loss = squared_error(tape.param(pred), target)
+            results.append((loss.value, tape.backward(loss)[0].array))
+        (shared, shared_grad), (tiled, tiled_grad) = results
+        np.testing.assert_array_equal(bits(shared), bits(tiled))
+        np.testing.assert_array_equal(bits(shared_grad), bits(tiled_grad))
+        assert tape._ops == ["param", "squared_error"]  # the target is not on the tape
+        with pytest.raises(ShapeError, match=r"\(5, 2\) vs \(3,\)"):
+            squared_error(tape.constant(pred), np.zeros(3))
+
 
 class TestTapeValues:
     def test_node_values_are_read_only(self):

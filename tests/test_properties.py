@@ -113,7 +113,8 @@ def test_losses(n, c, seed):
     z, target = rng.uniform(-2, 2, (n, c)), rng.uniform(-2, 2, (n, c))
     labels = rng.integers(0, c, n)
     assert check(lambda t, a: softmax_cross_entropy(a, labels), [z]) < TOL
-    assert check(lambda t, a, b: squared_error(a, b), [z, target]) < TOL
+    assert check(lambda t, a: squared_error(a, target), [z]) < TOL
+    assert check(lambda t, a: squared_error(a, target[0]), [z]) < TOL
 
 
 # A composite is a list of steps; each applies one op to nodes drawn from
