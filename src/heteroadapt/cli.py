@@ -187,25 +187,17 @@ def cmd_synth(args) -> int:
 
 def _load_task(args) -> tuple[MultiSourceTask, dict]:
     provenance = {}
-    sources = []
-    for i, path in enumerate(args.source):
+    domains = []
+    names = [f"source_{i}" for i in range(len(args.source))] + ["target"]
+    for name, path in zip(names, [*args.source, args.target]):
         domain = load_domain_file(path)
         if domain.labels is None:
-            raise ConfigError(f"source file {path} has no labels")
-        if args.standardize:
-            domain = standardize(domain)
-        sources.append(domain)
-        provenance[f"source_{i}"] = path
-        provenance[f"sha256.source_{i}"] = _sha256(Path(path))
-    target = load_domain_file(args.target)
-    if target.labels is None:
-        raise ConfigError(f"target file {args.target} has no labels to split")
-    if args.standardize:
-        target = standardize(target)
-    provenance["target"] = args.target
-    provenance["sha256.target"] = _sha256(Path(args.target))
-    labeled, unlabeled = split_target(target, args.labeled_per_class, args.seed)
-    task = MultiSourceTask.build(tuple(sources), labeled, unlabeled)
+            raise ConfigError(f"{name.split('_')[0]} file {path} has no labels")
+        domains.append(standardize(domain) if args.standardize else domain)
+        provenance[name] = path
+        provenance[f"sha256.{name}"] = _sha256(Path(path))
+    labeled, unlabeled = split_target(domains.pop(), args.labeled_per_class, args.seed)
+    task = MultiSourceTask.build(tuple(domains), labeled, unlabeled)
     provenance["labeled_per_class"] = args.labeled_per_class
     return task, provenance
 
@@ -303,20 +295,13 @@ def cmd_experiment(args) -> int:
     if args.mode == "ablate":
         task, provenance = _experiment_task(args)
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        for v in variants:
-            if v not in ABLATION_VARIANTS:
-                raise ConfigError(
-                    f"unknown variant {v!r}; choose from {sorted(ABLATION_VARIANTS)}"
-                )
         summaries = run_ablation(task, variants, seeds, config, jobs=args.jobs)
-        write_summary_csvs(out / "runs.csv", out / "aggregate.csv", "ablate", summaries)
         entries.update(provenance)
         entries["variants"] = ",".join(variants)
     elif args.mode == "noise":
         task, provenance = _experiment_task(args)
         result = run_noise_detection(task, args.noise_dim, seeds, config, jobs=args.jobs)
-        write_summary_csvs(out / "runs.csv", out / "aggregate.csv", "noise",
-                           [result.summary])
+        summaries = [result.summary]
         k1 = result.final_weights.shape[1]
         lines = [",".join(
             ["seed"] + [f"w_{i + 1}" for i in range(k1)] + [f"delta_{i + 1}" for i in range(k1)]
@@ -334,10 +319,9 @@ def cmd_experiment(args) -> int:
         spec = _synth_spec_from_args(args, seed=0)
         ns_values = [int(v) for v in args.ns.split(",") if v.strip()]
         summaries = run_source_sweep(spec, ns_values, seeds, config, jobs=args.jobs)
-        write_summary_csvs(out / "runs.csv", out / "aggregate.csv", "sweep", summaries)
         entries["dims"] = args.dims
         entries["ns"] = args.ns
-
+    write_summary_csvs(out / "runs.csv", out / "aggregate.csv", args.mode, summaries)
     entries["duration_seconds"] = f"{time.time() - started:.3f}"
     write_manifest(out / "manifest.txt", entries)
     print(f"wrote experiment outputs to {out}")

@@ -25,7 +25,7 @@ from .data import (
     synthetic_task,
 )
 from .errors import ConfigError
-from .model import ClassifierParams, ModelParams, TransformerParams, transform_values
+from .model import ModelParams, fg_parameters, replace_fg, transform_values
 from .numerics import Tensor
 from .training import TrainConfig, TrainTrace, evaluate_accuracy, init_params, train
 
@@ -104,21 +104,12 @@ def plain_supervised_train(
     if params.tied_second:
         raise ConfigError("the plain trainer does not support tied second layers")
     slope, tau = config.leaky_slope, config.tau
-    domains = [(k, s.features.array, _one_hot(s.labels, task.num_classes))
-               for k, s in enumerate(task.sources)]
-    domains.append(
-        (None, task.target_labeled.features.array,
-         _one_hot(task.target_labeled.labels, task.num_classes))
-    )
-
-    nets = {}
-    keys = ([k for k, _, _ in domains if k is not None]) + ["target"]
-    for key in keys:
-        t = params.target if key == "target" else params.sources[key]
-        nets[key] = [t.w1.array.copy(), t.b1.array.copy(), t.w2.array.copy(), t.b2.array.copy()]
-    cls = [params.classifier.w.array.copy(), params.classifier.b.array.copy()]
-
-    flat = [arr for key in keys for arr in nets[key]] + cls
+    domains = [(d.features.array, _one_hot(d.labels, task.num_classes))
+               for d in (*task.sources, task.target_labeled)]
+    # fg_parameters order: w1, b1, w2, b2 per domain (sources, then the
+    # target), then the classifier's w, b in the last two slots
+    flat = [leaf.array.copy() for leaf in fg_parameters(params)]
+    cls_off = 4 * len(domains)
     m = [np.zeros_like(a) for a in flat]
     v = [np.zeros_like(a) for a in flat]
     b1c, b2c, eps, lr = 0.9, 0.999, 1e-8, config.lr_fg
@@ -126,14 +117,11 @@ def plain_supervised_train(
     losses = []
     for step in range(1, config.iterations + 1):
         grads = [np.zeros_like(a) for a in flat]
-        offsets = {key: 4 * i for i, key in enumerate(keys)}
-        cls_off = 4 * len(keys)
-        loss = 0.0
+        wc, bc = flat[cls_off:]
         terms = []
-        for key, x, y in domains:
-            net_key = "target" if key is None else key
-            w1, bias1, w2, bias2 = nets[net_key]
-            wc, bc = cls
+        for i, (x, y) in enumerate(domains):
+            off = 4 * i
+            w1, bias1, w2, bias2 = flat[off: off + 4]
             a1 = x @ w1 + bias1
             h1 = _lrelu(a1, slope)
             a2 = h1 @ w2 + bias2
@@ -151,7 +139,6 @@ def plain_supervised_train(
             grads[cls_off + 1] += dz.sum(axis=0)
             dh2 = dz @ wc.T
             da2 = dh2 * _lrelu_grad(a2, slope)
-            off = offsets[net_key]
             grads[off + 2] += h1.T @ da2
             grads[off + 3] += da2.sum(axis=0)
             dh1 = da2 @ w2.T
@@ -159,20 +146,16 @@ def plain_supervised_train(
             grads[off] += x.T @ da1
             grads[off + 1] += da1.sum(axis=0)
         # same composition order as the tape objective: target term first
-        loss = terms[-1]
-        for ce in terms[:-1]:
-            loss = loss + ce
+        loss = sum(terms[:-1], terms[-1])
         if tau > 0.0:
-            penalty = np.sum(cls[0] * cls[0])
-            for key in keys:
-                w1, _, w2, _ = nets[key]
+            penalty = np.sum(wc * wc)
+            for w1, w2 in zip(flat[0:cls_off:4], flat[2:cls_off:4]):
                 penalty += np.sum(w1 * w1) + np.sum(w2 * w2)
             loss = loss + tau * penalty
-            grads[cls_off] += tau * 2.0 * cls[0]
-            for key in keys:
-                off = offsets[key]
-                grads[off] += tau * 2.0 * nets[key][0]
-                grads[off + 2] += tau * 2.0 * nets[key][2]
+            grads[cls_off] += tau * 2.0 * wc
+            for off in range(0, cls_off, 4):
+                grads[off] += tau * 2.0 * flat[off]
+                grads[off + 2] += tau * 2.0 * flat[off + 2]
         losses.append(float(loss))
 
         for i, g in enumerate(grads):
@@ -181,21 +164,7 @@ def plain_supervised_train(
             mhat = m[i] / (1.0 - b1c ** step)
             vhat = v[i] / (1.0 - b2c ** step)
             flat[i] = flat[i] - lr * mhat / (np.sqrt(vhat) + eps)
-        for i, key in enumerate(keys):
-            nets[key] = flat[4 * i: 4 * i + 4]
-        cls = flat[cls_off: cls_off + 2]
-
-    def as_transformer(key):
-        w1, bias1, w2, bias2 = nets[key]
-        return TransformerParams(Tensor(w1), Tensor(bias1), Tensor(w2), Tensor(bias2))
-
-    final = ModelParams(
-        tuple(as_transformer(k) for k in range(task.num_sources)),
-        as_transformer("target"),
-        ClassifierParams(Tensor(cls[0]), Tensor(cls[1])),
-        params.discriminator,
-    )
-    return losses, final
+    return losses, replace_fg(params, [Tensor(a) for a in flat])
 
 
 # -- baselines -------------------------------------------------------------------
@@ -247,9 +216,9 @@ def run_ablation(task: MultiSourceTask, variants, seeds, config: TrainConfig,
     if not variants:
         raise ConfigError("at least one variant is required")
     seeds = tuple(int(s) for s in seeds)
+    bases = [ablation_config(config, variant) for variant in variants]  # all before any run
     out = []
-    for variant in variants:
-        base = ablation_config(config, variant)
+    for variant, base in zip(variants, bases):
         traces = _map_jobs(lambda s, b=base: train(task, replace(b, seed=s)), seeds, jobs)
         accs = [t.final_accuracy for t in traces]
         out.append(summarize(variant, seeds, accs, traces if keep_traces else None))
@@ -299,6 +268,8 @@ def run_source_sweep(spec: SynthSpec, ns_values, seeds, config: TrainConfig,
     """
     ns_values = [int(n) for n in ns_values]
     seeds = tuple(int(s) for s in seeds)
+    if not ns_values:
+        raise ConfigError("at least one source count is required")
     for ns in ns_values:
         if ns < 0 or ns > len(spec.source_dims):
             raise ConfigError(

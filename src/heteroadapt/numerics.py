@@ -432,10 +432,10 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
         raise ValueError(f"cross entropy labels must lie in [0, {num_classes})")
     rows = np.arange(n)
     m = zv.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(zv - m).sum(axis=1))
-    out = np.mean(lse - zv[rows, y])
-    d = np.exp(zv - m)  # softmax - onehot, built in place
-    d /= d.sum(axis=1, keepdims=True)
+    d = np.exp(zv - m)  # becomes softmax - onehot, in place
+    total = d.sum(axis=1, keepdims=True)
+    out = np.mean(m[:, 0] + np.log(total[:, 0]) - zv[rows, y])
+    d /= total
     d[rows, y] -= 1.0
     return logits.tape.append(
         "softmax_cross_entropy",

@@ -415,6 +415,16 @@ class TestExperiment:
         )
         assert code != 0 and err.startswith("error:")
 
+    def test_empty_source_count_list_fails(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            self._common(tmp_path, ["sweep", "--ns", "", "--seeds", "0",
+                                    "--dims", "12,14,target=16", "--latent-dim", "6"]),
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: at least one source count is required\n"
+        assert not (tmp_path / "runs.csv").exists()
+
     def test_sweep_rows(self, tmp_path, capsys):
         code, _, _ = run_cli(
             self._common(

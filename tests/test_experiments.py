@@ -1,8 +1,11 @@
 """Baselines, the reduction oracle, ablation wiring, and summary output."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from heteroadapt import experiments
 from heteroadapt.data import SynthSpec, load_domain_file, synthetic_task
 from heteroadapt.errors import ConfigError
 from heteroadapt.experiments import (
@@ -59,10 +62,12 @@ class TestSummarize:
 
 
 class TestReductionOracle:
-    def test_ablated_loop_matches_plain_trainer(self):
+    @pytest.mark.parametrize("source_dims", [(12,), (12, 14), (12, 14, 10)],
+                             ids=["1_source", "2_sources", "3_sources"])
+    def test_ablated_loop_matches_plain_trainer(self, source_dims):
         # beta=0, unit weights, no consistency term: the adversarial loop
         # must follow the hand-derived supervised trainer step for step
-        task = tiny_task()
+        task = tiny_task(source_dims=source_dims)
         config = tiny_config(beta=0.0, weighting="ones", lg_norm="off", iterations=40)
         params = init_params(task, config)
         plain_losses, plain_final = plain_supervised_train(params, task, config)
@@ -165,6 +170,18 @@ class TestAblation:
         assert [s.label for s in out] == ["full", "ones_weight"]
         assert all(len(s.accuracies) == 2 for s in out)
 
+    def test_every_variant_checked_before_the_first_run(self, monkeypatch):
+        calls = []
+
+        def counting_train(task, config):
+            calls.append(config.seed)
+            return SimpleNamespace(final_accuracy=0.0)
+
+        monkeypatch.setattr(experiments, "train", counting_train)
+        with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+            run_ablation(tiny_task(), ["full", "bogus"], (0, 1), tiny_config())
+        assert calls == []
+
     def test_tied_variant_shares_parameters(self):
         task = tiny_task()
         cfg = ablation_config(tiny_config(iterations=2), "lg_tied")
@@ -210,6 +227,11 @@ class TestSourceSweep:
         spec = SynthSpec(source_dims=(12, 14), target_dim=16, latent_dim=6)
         with pytest.raises(ConfigError, match="exceeds"):
             run_source_sweep(spec, (4,), (0,), tiny_config())
+
+    def test_rejects_empty_count_list(self):
+        spec = SynthSpec(source_dims=(12, 14), target_dim=16, latent_dim=6)
+        with pytest.raises(ConfigError, match="at least one source count"):
+            run_source_sweep(spec, (), (0,), tiny_config())
 
 
 class TestOutputs:
