@@ -2,12 +2,14 @@
 
 Every command writes its outputs plus a plain-text manifest (config
 snapshot, input hashes, seed list, version, duration) into `--out`.
-Validation failures print one `error: ...` line and exit nonzero.
+Validation failures print one `error: ...` line, exit nonzero and leave
+no new directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 import time
@@ -80,12 +82,13 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     """`0..4` (inclusive), `0,2,5`, or a single integer."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"seed range {text!r} is empty")
-        return tuple(range(lo, hi + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+        lo, hi = (int(p) for p in text.split("..", 1))
+        seeds = tuple(range(lo, hi + 1))
+    else:
+        seeds = tuple(int(p) for p in text.split(",") if p.strip())
+    if not seeds:
+        raise ConfigError(f"--seeds needs at least one seed, got {text!r}")
+    return seeds
 
 
 def _sha256(path: Path) -> str:
@@ -126,12 +129,6 @@ def _config_from_args(args) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # -- synth ---------------------------------------------------------------------
 
 
@@ -160,26 +157,19 @@ def _synth_spec_from_args(args, seed: int, standardize: bool = True) -> SynthSpe
     return SynthSpec(**given, **flags)
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args, out: Path) -> tuple[dict, str]:
     spec = _synth_spec_from_args(args, args.seed, standardize=not args.no_standardize)
-    out = _out_dir(args)
     paths = []
     for domain in generate_synthetic_domains(spec):
         paths.append(out / f"{domain.name}_d{domain.dim}.txt")
         save_domain_file(domain, paths[-1])
     entries = {
-        "command": "synth",
-        "version": __version__,
         "dims": args.dims,
         **{f"spec.{f.name}": getattr(spec, f.name) for f in fields(spec)},
     }
     for p in paths:
         entries[f"sha256.{p.name}"] = _sha256(p)
-    entries["duration_seconds"] = f"{time.time() - started:.3f}"
-    write_manifest(out / "manifest.txt", entries)
-    print(f"wrote {len(paths)} domain files to {out}")
-    return 0
+    return entries, f"wrote {len(paths)} domain files to {out}"
 
 
 # -- train ----------------------------------------------------------------------
@@ -219,11 +209,9 @@ def write_trace_csv(path: Path, trace, num_sources: int) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args, out: Path) -> tuple[dict, str]:
     config = _config_from_args(args)
     task, provenance = _load_task(args)
-    out = _out_dir(args)
     try:
         trace = train(task, config)
     except NonFiniteError as exc:  # keep the iterations that completed
@@ -233,17 +221,9 @@ def cmd_train(args) -> int:
     if args.export_embeddings:
         export_embeddings(trace.final_params, task, out / "embeddings.txt",
                           config.leaky_slope)
-    entries = {
-        "command": "train",
-        "version": __version__,
-        **_config_entries(config),
-        **provenance,
-        "final_accuracy": repr(trace.final_accuracy),
-        "duration_seconds": f"{time.time() - started:.3f}",
-    }
-    write_manifest(out / "manifest.txt", entries)
-    print(f"final_accuracy={trace.final_accuracy!r}")
-    return 0
+    entries = {**_config_entries(config), **provenance,
+               "final_accuracy": repr(trace.final_accuracy)}
+    return entries, f"final_accuracy={trace.final_accuracy!r}"
 
 
 # -- experiment -------------------------------------------------------------------
@@ -270,8 +250,7 @@ def _ignored_flags(args) -> list[str]:
     ))
 
 
-def cmd_experiment(args) -> int:
-    started = time.time()
+def cmd_experiment(args, out: Path) -> tuple[dict, str]:
     config = _config_from_args(args)
     seeds = parse_seeds(args.seeds)
     if args.jobs < 1:
@@ -283,23 +262,20 @@ def cmd_experiment(args) -> int:
     ignored = _ignored_flags(args)
     if ignored:
         raise ConfigError(f"experiment {args.mode} does not read {', '.join(ignored)}")
-    out = _out_dir(args)
     entries = {
-        "command": f"experiment {args.mode}",
-        "version": __version__,
         **_config_entries(config),
         "seeds": ",".join(str(s) for s in seeds),
         "jobs": args.jobs,
     }
+    if args.mode != "sweep":
+        task, provenance = _experiment_task(args)
+        entries.update(provenance)
 
     if args.mode == "ablate":
-        task, provenance = _experiment_task(args)
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         summaries = run_ablation(task, variants, seeds, config, jobs=args.jobs)
-        entries.update(provenance)
         entries["variants"] = ",".join(variants)
     elif args.mode == "noise":
-        task, provenance = _experiment_task(args)
         result = run_noise_detection(task, args.noise_dim, seeds, config, jobs=args.jobs)
         summaries = [result.summary]
         k1 = result.final_weights.shape[1]
@@ -313,7 +289,6 @@ def cmd_experiment(args) -> int:
                 + [repr(float(v)) for v in d_row]
             ))
         (out / "noise_weights.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        entries.update(provenance)
         entries["noise_dim"] = args.noise_dim
     else:  # sweep: every run regenerates the data from its own seed
         spec = _synth_spec_from_args(args, seed=0)
@@ -322,10 +297,7 @@ def cmd_experiment(args) -> int:
         entries["dims"] = args.dims
         entries["ns"] = args.ns
     write_summary_csvs(out / "runs.csv", out / "aggregate.csv", args.mode, summaries)
-    entries["duration_seconds"] = f"{time.time() - started:.3f}"
-    write_manifest(out / "manifest.txt", entries)
-    print(f"wrote experiment outputs to {out}")
-    return 0
+    return entries, f"wrote experiment outputs to {out}"
 
 
 # -- parser ------------------------------------------------------------------------
@@ -377,13 +349,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    missing = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
+    command = f"experiment {args.mode}" if args.command == "experiment" else args.command
     try:
-        return args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        started = time.time()
+        entries, message = args.func(args, out)
+        duration = f"{time.time() - started:.3f}"
+        write_manifest(out / "manifest.txt", {"command": command, "version": __version__,
+                                              **entries, "duration_seconds": duration})
     except (ConfigError, ParseError, ShapeError, ValueError, OSError) as exc:
+        for path in missing:  # a failed command leaves none of the directories it made
+            with contextlib.suppress(OSError):  # not empty, or never made
+                path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

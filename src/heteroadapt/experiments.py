@@ -128,13 +128,12 @@ def plain_supervised_train(
             h2 = _lrelu(a2, slope)
             z = h2 @ wc + bc
             mx = z.max(axis=1, keepdims=True)
-            lse = mx[:, 0] + np.log(np.exp(z - mx).sum(axis=1))
-            ce = np.mean(lse - (z * y).sum(axis=1))
-            terms.append(ce)
-            n = x.shape[0]
             softmax = np.exp(z - mx)
-            softmax /= softmax.sum(axis=1, keepdims=True)
-            dz = (softmax - y) / n
+            total = softmax.sum(axis=1, keepdims=True)
+            lse = mx[:, 0] + np.log(total[:, 0])
+            terms.append(np.mean(lse - (z * y).sum(axis=1)))
+            softmax /= total
+            dz = (softmax - y) / x.shape[0]
             grads[cls_off] += h2.T @ dz
             grads[cls_off + 1] += dz.sum(axis=0)
             dh2 = dz @ wc.T

@@ -119,9 +119,6 @@ class Node:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -130,9 +127,6 @@ class Node:
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __truediv__(self, other):
         if isinstance(other, Node):
@@ -519,35 +513,3 @@ class Adam:
             np.subtract(p.array, new, out=new)
             out.append(Tensor._adopt(new))
         return out
-
-
-# -- finite-difference oracle ------------------------------------------------
-
-
-def grad_check(fn: Callable[[list[Tensor]], Node], params: Sequence[Tensor],
-               h: float = 1e-5) -> float:
-    """Worst relative error between tape gradients and central differences.
-
-    `fn` must build a fresh tape, register exactly `params` (in order) via
-    `tape.param`, and return the scalar loss node. Coordinates where both
-    gradients are below 1e-8 in magnitude compare absolutely, so saturated
-    units do not inflate the ratio.
-    """
-    params = [p if isinstance(p, Tensor) else Tensor(p) for p in params]
-    loss = fn(params)
-    analytic = loss.tape.backward(loss)
-    worst = 0.0
-    for i, p in enumerate(params):
-        flat = p.array.ravel()
-        for j in range(flat.size):
-            bumped = flat.copy()
-            bumped[j] = flat[j] + h
-            plus = [Tensor(bumped.reshape(p.shape)) if k == i else q for k, q in enumerate(params)]
-            bumped[j] = flat[j] - h
-            minus = [Tensor(bumped.reshape(p.shape)) if k == i else q for k, q in enumerate(params)]
-            numeric = (float(fn(plus).value) - float(fn(minus).value)) / (2.0 * h)
-            a = float(analytic[i].array.ravel()[j])
-            denom = max(abs(a), abs(numeric))
-            err = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
-            worst = max(worst, err)
-    return worst

@@ -10,6 +10,36 @@ from pathlib import Path
 import numpy as np
 
 
+def grad_check(fn, params, h: float = 1e-5) -> float:
+    """Worst relative error between tape gradients and central differences.
+
+    `fn` must build a fresh tape, register exactly `params` (in order) via
+    `tape.param`, and return the scalar loss node. Coordinates where both
+    gradients are below 1e-8 in magnitude compare absolutely, so saturated
+    units do not inflate the ratio.
+    """
+    from heteroadapt.numerics import Tensor
+
+    params = [p if isinstance(p, Tensor) else Tensor(p) for p in params]
+    loss = fn(params)
+    analytic = loss.tape.backward(loss)
+    worst = 0.0
+    for i, p in enumerate(params):
+        flat = p.array.ravel()
+        for j in range(flat.size):
+            bumped = flat.copy()
+            bumped[j] = flat[j] + h
+            plus = [Tensor(bumped.reshape(p.shape)) if k == i else q for k, q in enumerate(params)]
+            bumped[j] = flat[j] - h
+            minus = [Tensor(bumped.reshape(p.shape)) if k == i else q for k, q in enumerate(params)]
+            numeric = (float(fn(plus).value) - float(fn(minus).value)) / (2.0 * h)
+            a = float(analytic[i].array.ravel()[j])
+            denom = max(abs(a), abs(numeric))
+            err = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
+            worst = max(worst, err)
+    return worst
+
+
 def naive_class_conditional_mmd(
     source_emb,
     source_labels,

@@ -8,7 +8,7 @@ criteria. Everything is seeded; reruns are bit-identical.
 import numpy as np
 import pytest
 from conftest import frozen_embeddings, make_params, make_task, target_soft
-from oracles import naive_class_conditional_mmd
+from oracles import grad_check, naive_class_conditional_mmd
 
 from heteroadapt.cli import main as cli_main
 from heteroadapt.data import SynthSpec, synthetic_task
@@ -30,7 +30,7 @@ from heteroadapt.model import (
     target_class_means,
     transformer_objective,
 )
-from heteroadapt.numerics import Tape, grad_check
+from heteroadapt.numerics import Tape
 from heteroadapt.training import TrainConfig, init_params, train
 
 NOISE_SEEDS = tuple(range(10))

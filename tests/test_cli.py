@@ -61,6 +61,11 @@ class TestParsing:
         assert parse_seeds("0..4") == (0, 1, 2, 3, 4)
         assert parse_seeds("0,2,5") == (0, 2, 5)
         assert parse_seeds("7") == (7,)
+        from heteroadapt.errors import ConfigError
+
+        for empty in ("", ",", " , ", "5..3"):
+            with pytest.raises(ConfigError, match="--seeds needs at least one seed"):
+                parse_seeds(empty)
 
     def test_train_defaults_mirror_recommended_config(self):
         parser = build_parser()
@@ -458,3 +463,36 @@ class TestExperiment:
         assert len(lines) == 3
         w = np.array([[float(v) for v in ln.split(",")[1:4]] for ln in lines[1:]])
         assert np.all(w >= 0.5) and np.all(w < 1.0)
+
+
+TINY = ["--dc", "8", "--hidden", "8", "--iters", "1"]
+SWEEP = ["--seeds", "0", "--dims", "12,14,target=16", "--latent-dim", "6"]
+DATA = ["--source", "data/source_0_d12.txt", "--source", "data/source_1_d14.txt",
+        "--target", "data/target_d16.txt"]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["experiment", "sweep", "--ns", "", *SWEEP, *TINY], "exp"),
+    (["experiment", "sweep", "--ns", "5", *SWEEP, *TINY], "exp"),
+    (["experiment", "ablate", "--variants", "", "--seeds", "0", *TINY], "exp"),
+    (["experiment", "ablate", "--variants", "bogus", "--seeds", "0", *TINY], "exp"),
+    (["experiment", "ablate", "--seeds", "", *TINY], "exp"),
+    (["experiment", "ablate", "--source", "missing.txt", "--target", "missing.txt",
+      "--seeds", "0", *TINY], "exp"),
+    (["experiment", "ablate", *DATA, "--labeled-per-class", "50", "--seeds", "0", *TINY],
+     "exp"),
+    (["experiment", "noise", "--noise-dim", "0", "--seeds", "0", *TINY], "exp"),
+    (["synth", "--dims", "5,target=32"], "exp"),
+    (["experiment", "ablate", "--variants", "bogus", "--seeds", "0", *TINY], "a/b/c"),
+], ids=["sweep-empty-ns", "sweep-ns-above-sources", "ablate-empty-variants",
+        "ablate-unknown-variant", "ablate-empty-seeds", "ablate-missing-files",
+        "ablate-split-too-large", "noise-zero-dim", "synth-dim-below-latent",
+        "nested-out"])
+def test_failed_command_leaves_no_new_path(tmp_path, capsys, monkeypatch, argv, out):
+    synth_tiny(tmp_path / "data", capsys)
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    code, _, err = run_cli([*argv, "--out", out], capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert set(tmp_path.rglob("*")) == before

@@ -13,7 +13,7 @@ from conftest import (
     make_toy_task,
     target_soft,
 )
-from oracles import naive_class_conditional_mmd, naive_source_weights
+from oracles import grad_check, naive_class_conditional_mmd, naive_source_weights
 
 from heteroadapt.errors import ConfigError, ShapeError
 from heteroadapt.model import (
@@ -42,7 +42,7 @@ from heteroadapt.model import (
     transform_values,
     transformer_objective,
 )
-from heteroadapt.numerics import Tape, Tensor, grad_check, softmax_values, sum_sq
+from heteroadapt.numerics import Tape, Tensor, softmax_values, sum_sq
 
 ID1 = Tensor([[1.0]])
 ZERO1 = Tensor([0.0])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import grad_check
 
 from heteroadapt.errors import NonFiniteError, ShapeError
 from heteroadapt.numerics import (
@@ -11,7 +12,6 @@ from heteroadapt.numerics import (
     Tape,
     Tensor,
     add,
-    grad_check,
     leaky_relu,
     matmul_affine,
     relu,

@@ -10,12 +10,12 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
+from oracles import grad_check  # noqa: E402
 
 from heteroadapt.numerics import (  # noqa: E402
     Tape,
     Tensor,
     add,
-    grad_check,
     leaky_relu,
     matmul_affine,
     mul,
