@@ -49,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _int_entry(token: str, flag: str) -> int:
+    """One integer entry of a list flag; a bad one is named with its flag."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"{flag} entries must be integers, got {token.strip()!r}") from None
+
+
 def parse_dims(text: str) -> tuple[tuple[int, ...], int]:
     """`100:1000:100,target=2000` -> source dims (inclusive ranges), target dim."""
     source_dims: list[int] = []
@@ -60,9 +68,9 @@ def parse_dims(text: str) -> tuple[tuple[int, ...], int]:
         if item.startswith("target="):
             if target is not None:
                 raise ConfigError("only one target= entry is allowed in --dims")
-            target = int(item.split("=", 1)[1])
+            target = _int_entry(item.split("=", 1)[1], "--dims")
         elif ":" in item:
-            parts = [int(p) for p in item.split(":")]
+            parts = [_int_entry(p, "--dims") for p in item.split(":")]
             if len(parts) != 3:
                 raise ConfigError(f"range must be start:stop:step, got {item!r}")
             start, stop, step = parts
@@ -70,7 +78,7 @@ def parse_dims(text: str) -> tuple[tuple[int, ...], int]:
                 raise ConfigError(f"bad range {item!r}")
             source_dims.extend(range(start, stop + 1, step))
         else:
-            source_dims.append(int(item))
+            source_dims.append(_int_entry(item, "--dims"))
     if target is None:
         raise ConfigError("--dims needs a target=<dim> entry")
     if not source_dims:
@@ -82,10 +90,10 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     """`0..4` (inclusive), `0,2,5`, or a single integer."""
     text = text.strip()
     if ".." in text:
-        lo, hi = (int(p) for p in text.split("..", 1))
+        lo, hi = (_int_entry(p, "--seeds") for p in text.split("..", 1))
         seeds = tuple(range(lo, hi + 1))
     else:
-        seeds = tuple(int(p) for p in text.split(",") if p.strip())
+        seeds = tuple(_int_entry(p, "--seeds") for p in text.split(",") if p.strip())
     if not seeds:
         raise ConfigError(f"--seeds needs at least one seed, got {text!r}")
     return seeds
@@ -292,7 +300,7 @@ def cmd_experiment(args, out: Path) -> tuple[dict, str]:
         entries["noise_dim"] = args.noise_dim
     else:  # sweep: every run regenerates the data from its own seed
         spec = _synth_spec_from_args(args, seed=0)
-        ns_values = [int(v) for v in args.ns.split(",") if v.strip()]
+        ns_values = [_int_entry(v, "--ns") for v in args.ns.split(",") if v.strip()]
         summaries = run_source_sweep(spec, ns_values, seeds, config, jobs=args.jobs)
         entries["dims"] = args.dims
         entries["ns"] = args.ns

@@ -4,7 +4,7 @@ Conventions: data matrices are (n, d) with samples in rows; vectors are
 rank 1. Tape nodes hold raw ndarrays (scalars are 0-d); the `Tensor`
 wrapper is the validated value type used for parameters and datasets.
 
-Three rules keep the hot paths lean without changing a result:
+Four rules keep the hot paths lean without changing a result:
 
 - Ownership. An array is written in place only by the code that
   allocated it: `Adam` its `m` and `v`, `Tape.backward` a gradient sum it
@@ -22,6 +22,12 @@ Three rules keep the hot paths lean without changing a result:
   reference. There has been one: the class-conditional divergence builds
   each domain's class means as one (C, n) `weighted_row_sum` instead of a
   1-D row sum per class; `tests/oracles.py` keeps the per-class chain.
+- Lifetime. A `Node` owns its value, the tape keeps none but the
+  parameters' (their shapes give unreached parameters zero gradients),
+  and a vjp captures only what it reads: `leaky_relu` and `relu` keep a
+  boolean mask, not their input. So an intermediate lives only while its
+  node or a vjp that reads it does; a pre-activation is freed as soon as
+  its node is dropped.
 """
 
 from __future__ import annotations
@@ -97,17 +103,19 @@ def _frozen(arr: Array) -> bool:
 
 
 class Node:
-    """Handle to one tape entry. `value` is a read-only float64 ndarray."""
+    """Handle to one tape entry; it owns the entry's value, a read-only
+    float64 ndarray (see "Lifetime")."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "_value")
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int, value: Array):
         self.tape = tape
         self.index = index
+        self._value = value
 
     @property
     def value(self) -> Array:
-        return self.tape._values[self.index]
+        return self._value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -139,17 +147,17 @@ class Tape:
 
     Nodes are appended in execution order, so node ids are topologically
     ordered by construction (every parent id is smaller than its consumer).
-    Each node stores the op name, parent ids, the forward value, and one
-    gradient callback per parent; `backward` walks the list in reverse.
+    Each entry stores the op name, parent ids and one gradient callback per
+    parent; `backward` walks the list in reverse. Forward values belong to
+    the `Node`s (see "Lifetime").
     """
 
     def __init__(self):
         self._ops: list[str] = []
         self._parents: list[tuple[int, ...]] = []
-        self._values: list[Array] = []
         self._vjps: list[tuple[Callable[[Array], Array] | None, ...]] = []
         self._needs_grad: list[bool] = []
-        self._param_indices: list[int] = []
+        self._params: list[tuple[int, Array]] = []  # (index, value): a Node would make a cycle
 
     # -- construction ----------------------------------------------------
 
@@ -160,17 +168,16 @@ class Tape:
             needs_grad = any(self._needs_grad[p] for p in parents)
         self._ops.append(op)
         self._parents.append(tuple(parents))
-        self._values.append(value)
         self._vjps.append(tuple(vjps))
         self._needs_grad.append(needs_grad)
-        return Node(self, len(self._values) - 1)
+        return Node(self, len(self._ops) - 1, value)
 
     def param(self, tensor: Tensor) -> Node:
         """Register a trainable leaf; `backward` returns its gradient."""
         if not isinstance(tensor, Tensor):
             tensor = Tensor(tensor)
         node = self.append("param", tensor.array, needs_grad=True)
-        self._param_indices.append(node.index)
+        self._params.append((node.index, node.value))
         return node
 
     def constant(self, values) -> Node:
@@ -203,13 +210,11 @@ class Tape:
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
-        if self._values[loss.index].ndim != 0:
-            raise ShapeError(
-                f"backward needs a scalar loss node, got shape {self._values[loss.index].shape}"
-            )
-        retained = set(self._param_indices)
+        if loss.value.ndim != 0:
+            raise ShapeError(f"backward needs a scalar loss node, got shape {loss.shape}")
+        retained = {idx for idx, _ in self._params}
         owned: set[int] = set()
-        grads: list[Array | None] = [None] * len(self._values)
+        grads: list[Array | None] = [None] * len(self._ops)
         grads[loss.index] = np.ones((), dtype=np.float64)
         for i in range(loss.index, -1, -1):
             g = grads[i]
@@ -229,10 +234,10 @@ class Tape:
                     grads[parent] = grads[parent] + contribution
                     owned.add(parent)
         out = []
-        for idx in self._param_indices:
+        for idx, value in self._params:
             g = grads[idx]
             try:
-                out.append(Tensor._adopt(np.zeros_like(self._values[idx]) if g is None else g))
+                out.append(Tensor._adopt(np.zeros_like(value) if g is None else g))
             except ValueError:
                 raise NonFiniteError(f"gradient of parameter {len(out)}",
                                      position=len(out)) from None
@@ -331,9 +336,10 @@ def relu(x: Node) -> Node:
 def leaky_relu(x: Node, slope: float = 0.01) -> Node:
     """Elementwise max(x, slope * x).
 
-    The vjp is `g * where(x >= slope * x, 1, slope)`. It reads that mask
-    back as `out == x`, which holds exactly where `x >= slope * x`, and
-    builds the factor arithmetically: `max(mask, slope)` for slope <= 1,
+    The vjp is `g * where(x >= slope * x, 1, slope)`. The forward reads
+    that mask as `out == x`, which holds exactly where `x >= slope * x`,
+    and the vjp keeps only the boolean mask, not `x`. It builds the factor
+    arithmetically: `max(mask, slope)` for slope <= 1,
     `fmax(~mask * slope, 1)` above 1 (`fmax` turns `0 * inf` into 1).
     Both equal the `where` factor bit for bit, without its per-element
     branch.
@@ -341,9 +347,9 @@ def leaky_relu(x: Node, slope: float = 0.01) -> Node:
     slope = float(slope)
     xv = x.value
     out = leaky_relu_values(xv, slope)
+    keep = out == xv
 
     def vjp(g):
-        keep = out == xv
         if slope > 1.0:
             factor = np.multiply(~keep, slope, dtype=np.float64)
             np.fmax(factor, 1.0, out=factor)

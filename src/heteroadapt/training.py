@@ -32,6 +32,13 @@ parameters step i produced and classifies the unlabeled target exactly as
 an evaluation would, so iteration i's target accuracy is read from
 iteration i+1's soft-label logits. Only the last iteration is evaluated
 separately.
+
+A step keeps each tape only while something reads it (the "Lifetime"
+rule of `numerics`): every value the step reports, the soft-label
+accuracy included, is read before the transformer/classifier backward,
+and the embedding pass and its objective are dropped right after it, so
+that step's Adam update runs with no tape alive. The discriminator's
+tape is dropped once its own step is done.
 """
 
 from __future__ import annotations
@@ -179,7 +186,9 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     Returns the updated parameters, the loss/weighting scalars recorded for
     the trace, and the target accuracy of the parameters the step *started
     from*: the soft-label logits of its forward scored on the unlabeled
-    split against `task.eval_labels`.
+    split against `task.eval_labels`. All of them are read before the
+    transformer/classifier backward, and the tape is dropped before the
+    Adam step that follows it.
     """
     fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
     deltas = tuple(float(d.value) for d in fwd.deltas)
@@ -202,10 +211,10 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     loss_dg_inv = float(obj.inverted_domain.value)
     _check_finite([("loss_fg", loss_fg), ("loss_lg", loss_lg), ("loss_dg_inv", loss_dg_inv),
                    ("objective", float(obj.objective.value))])
-    fg_grads = _gradients(obj.objective, params, fg_parameters(params))
-    params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
-
     target_acc = _hit_rate(fwd.soft_logits.value, task.eval_labels)
+    fg_grads = _gradients(obj.objective, params, fg_parameters(params))
+    del fwd, obj
+    params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
     return params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights, target_acc
 
 

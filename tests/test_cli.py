@@ -471,6 +471,19 @@ DATA = ["--source", "data/source_0_d12.txt", "--source", "data/source_1_d14.txt"
         "--target", "data/target_d16.txt"]
 
 
+@pytest.mark.parametrize("argv, flag, token", [
+    (["experiment", "ablate", "--seeds", "0..x", *TINY], "--seeds", "x"),
+    (["synth", "--dims", "12,x,target=16"], "--dims", "x"),
+    (["experiment", "sweep", "--ns", "2,x", *SWEEP, *TINY], "--ns", "x"),
+], ids=["seeds", "dims", "ns"])
+def test_non_integer_list_entry_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag, token):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli([*argv, "--out", "exp"], capsys)
+    assert code == 1
+    assert err == f"error: {flag} entries must be integers, got {token!r}\n"
+    assert not (tmp_path / "exp").exists()
+
+
 @pytest.mark.parametrize("argv, out", [
     (["experiment", "sweep", "--ns", "", *SWEEP, *TINY], "exp"),
     (["experiment", "sweep", "--ns", "5", *SWEEP, *TINY], "exp"),

@@ -589,17 +589,27 @@ class TestObjectives:
         assert fwd.weights == [1.0, 1.0]
         assert len(fwd.deltas) == 2
 
-    def test_only_data_and_frozen_parameters_are_tape_constants(self, toy_setup):
+    def test_only_data_and_frozen_parameters_are_tape_constants(self, toy_setup, monkeypatch):
         params, task = toy_setup
         k = task.num_sources
         fwd = embedding_pass(params, task)
         transformer_objective(fwd, params.discriminator, task, beta=0.03, tau=0.004)
         # the K+2 domains' features, then the frozen discriminator
         assert fwd.tape._ops.count("const") == k + 2 + 4
+        appended = []  # the tape keeps no values, so the nodes are read as they are made
+        append = Tape.append
+
+        def spy(tape, op, *args, **kwargs):
+            node = append(tape, op, *args, **kwargs)
+            appended.append((op, node.value))
+            return node
+
+        monkeypatch.setattr(Tape, "append", spy)
         loss = build_discriminator_objective(params, fwd.emb, [0.7, 0.9])
-        ops, values = loss.tape._ops, loss.tape._values
+        ops = loss.tape._ops
+        assert [op for op, _ in appended] == ops
         assert ops[:4] == ["param"] * 4 and ops.count("param") == 4
-        constants = [v for op, v in zip(ops, values) if op == "const"]
+        constants = [v for op, v in appended if op == "const"]
         embedded = [e.value for e in (*fwd.emb.sources, fwd.emb.target_labeled,
                                       fwd.emb.target_unlabeled)]
         assert len(constants) == k + 2

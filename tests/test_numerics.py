@@ -1,6 +1,7 @@
 """Tensor, tape, primitive ops, Adam, and the finite-difference oracle."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ class TestTapeValues:
         node = relu(tape.constant([[1.0, -2.0]]))
         with pytest.raises(ValueError, match="read-only"):
             node.value[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            node.value = np.zeros((1, 2))  # the node owns its value; nothing rebinds it
         np.testing.assert_array_equal(node.value, [[1.0, 0.0]])
 
     def test_constant_from_another_tapes_value_is_aliased(self):
@@ -260,7 +263,7 @@ class TestBackward:
         w = tape.param(Tensor([[0.5], [1.5]]))
         b = tape.param(Tensor([0.1]))
         loss = sum_sq(relu(matmul_affine(x, w, b)))
-        assert loss.index == len(tape._values) - 1
+        assert loss.index == len(tape._ops) - 1
         for i, parents in enumerate(tape._parents):
             assert all(p < i for p in parents)
 
@@ -425,6 +428,32 @@ class TestLeakyReluExactness:
         g = 2.0 * (out_ref + c)
         np.testing.assert_array_equal(bits(out.value), bits(out_ref))
         np.testing.assert_array_equal(bits(grad.array), bits(g * np.where(keep, 1.0, slope)))
+
+
+class TestLifetime:
+    """A node owns its value and the tape keeps none, so a pre-activation
+    that only an activation read is freed once its node is dropped."""
+
+    @pytest.mark.parametrize("activation, factor", [
+        (leaky_relu, lambda z: np.where(z >= 0.01 * z, 1.0, 0.01)),
+        (relu, lambda z: z > 0),
+    ], ids=["leaky_relu", "relu"])
+    def test_pre_activation_freed_with_its_node(self, activation, factor):
+        rng = np.random.default_rng(6)
+        x0, w0, b0 = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 4)
+        tape = Tape()
+        x, w, b = (tape.param(Tensor(v)) for v in (x0, w0, b0))
+        pre = matmul_affine(x, w, b)
+        value = weakref.ref(pre.value)
+        out = activation(pre)
+        del pre
+        assert value() is None
+        grads = tape.backward(sum_sq(out))
+        # the float ops of a tape that kept the pre-activation alive
+        z = x0 @ w0 + b0
+        gz = (2.0 * out.value) * factor(z)
+        for grad, ref in zip(grads, (gz @ w0.T, x0.T @ gz, gz.sum(axis=0))):
+            np.testing.assert_array_equal(bits(grad.array), bits(ref))
 
 
 class TestAdam:

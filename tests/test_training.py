@@ -1,5 +1,6 @@
 """Initialization, the alternating loop's contracts, and evaluation."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,33 @@ class TestTrainStep:
         assert not np.array_equal(new_params.target.w1.array, after_d.target.w1.array)
         for ta, tb in zip(d_parameters(after_d), d_parameters(new_params)):
             assert ta is tb
+
+    def test_embedding_tape_freed_before_transformer_update(self, monkeypatch):
+        task = tiny_task()
+        config = tiny_config()
+        params = init_params(task, config)
+        tapes = []  # weak references to each step's embedding-pass tape
+        real_pass = training.embedding_pass
+
+        def spy_pass(*args, **kwargs):
+            fwd = real_pass(*args, **kwargs)
+            tapes.append(weakref.ref(fwd.tape))
+            return fwd
+
+        alive = []  # per Adam step: is the step's embedding-pass tape still reachable?
+        real_step = Adam.step
+
+        def spy_step(self, *args):
+            alive.append(tapes[-1]() is not None)
+            return real_step(self, *args)
+
+        monkeypatch.setattr(training, "embedding_pass", spy_pass)
+        monkeypatch.setattr(Adam, "step", spy_step)
+        train_step(params, Adam(fg_parameters(params), config.lr_fg),
+                   Adam(d_parameters(params), config.lr_d), task, config)
+        # the discriminator step runs while the pass is still needed; the
+        # transformer/classifier step after every value has been read
+        assert alive == [True, False]
 
     def test_conditional_weights_in_range(self):
         task = tiny_task()
