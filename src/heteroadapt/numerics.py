@@ -4,7 +4,7 @@ Conventions: data matrices are (n, d) with samples in rows; vectors are
 rank 1. Tape nodes hold raw ndarrays (scalars are 0-d); the `Tensor`
 wrapper is the validated value type used for parameters and datasets.
 
-Four rules keep the hot paths lean without changing a result:
+Five rules keep the hot paths lean without changing a result:
 
 - Ownership. An array is written in place only by the code that
   allocated it: `Adam` its `m` and `v`, `Tape.backward` a gradient sum it
@@ -28,10 +28,20 @@ Four rules keep the hot paths lean without changing a result:
   boolean mask, not their input. So an intermediate lives only while its
   node or a vjp that reads it does; a pre-activation is freed as soon as
   its node is dropped.
+- Parallelism. A private helper thread computes half of each large
+  kernel. A product of at least 128 rows and 64 columns (`affine_values`,
+  both matrix vjps of `matmul_affine`) is split by rows of its output,
+  never along the contraction, so each entry keeps its k-loop and equals
+  one `a @ b` bit for bit (narrower products do not always). Adam updates
+  a parameter of at least 2**15 entries as two flat halves in the same op
+  order. Only shapes decide a split; with one usable core both halves run
+  in the caller, so traces do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,7 +317,7 @@ def matmul_affine(x: Node, w: Node, b: Node) -> Node:
         "matmul_affine",
         affine_values(xv, wv, b.value),
         (x.index, w.index, b.index),
-        (lambda g: g @ wv.T, lambda g: xv.T @ g, lambda g: g.sum(axis=0)),
+        (lambda g: _matmul(g, wv.T), lambda g: _matmul(xv.T, g), lambda g: g.sum(axis=0)),
     )
 
 
@@ -322,8 +332,57 @@ def affine_values(x, w, b) -> Array:
         raise ShapeError(
             f"matmul_affine dimensions disagree: x {x.shape}, w {w.shape}, b {b.shape}"
         )
-    out = x @ w
+    out = _matmul(x, w)
     out += b
+    return out
+
+
+# -- the helper thread (see "Parallelism") -----------------------------------------
+
+_SPLIT_ROWS, _SPLIT_COLS = 128, 64  # the smallest product `_matmul` splits
+_SPLIT_SIZE = 1 << 15  # the smallest parameter `Adam.step` splits
+_pools: list[ThreadPoolExecutor] = []  # the helper, once started
+os.register_at_fork(after_in_child=_pools.clear)  # a forked child has no helper thread
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    """The helper thread, started on first use; None with one usable core."""
+    if not _pools and len(os.sched_getaffinity(0)) > 1:
+        # concurrent first calls may add two; only the first is used, and an
+        # executor starts no thread before its first task
+        _pools.append(ThreadPoolExecutor(1, thread_name_prefix="heteroadapt-helper"))
+    return _pools[0] if _pools else None
+
+
+def _in_halves(kernel, top, bottom) -> None:
+    """`kernel(*top)` in the caller and `kernel(*bottom)` on the helper. A kernel
+    calls only numpy, writing into arrays the caller allocated, so no function
+    of this package runs off the caller's thread."""
+    pool = _helper()
+    if pool is None:
+        kernel(*top)
+        kernel(*bottom)
+        return
+    future = pool.submit(kernel, *bottom)
+    try:
+        kernel(*top)
+    finally:
+        # Poll rather than sleep on the future: a caller that slept at every
+        # handoff ran its later single-threaded work slower (paper set-up
+        # about 20%); polling measured about half of that.
+        while not future.done():
+            os.sched_yield()
+        future.result()
+
+
+def _matmul(a: Array, b: Array) -> Array:
+    """A new array `a @ b`, two row halves of it at once when it is large."""
+    rows, cols = a.shape[0], b.shape[1]
+    if rows < _SPLIT_ROWS or cols < _SPLIT_COLS:
+        return a @ b
+    out = np.empty((rows, cols))
+    h = rows // 2
+    _in_halves(np.matmul, (a[:h], b, out[:h]), (a[h:], b, out[h:]))
     return out
 
 
@@ -470,7 +529,8 @@ class Adam:
     p <- p - lr * mhat / (sqrt(vhat) + eps). A zero gradient from a fresh
     state leaves parameters bit-identical. `m` and `v` are updated in place
     with the operation order of those formulas, and each step holds one
-    parameter-sized temporary besides the new parameter.
+    parameter-sized temporary besides the new parameter. A step checks
+    every shape before it changes any state.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
@@ -492,30 +552,44 @@ class Adam:
             raise ShapeError(
                 f"optimizer tracks {len(self.m)} tensors, got {len(params)} params / {len(grads)} grads"
             )
-        self.step_count += 1
-        t = self.step_count
-        m_scale, v_scale = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            m, v = self.m[i], self.v[i]
+        for i, (p, g, m) in enumerate(zip(params, grads, self.m)):
             if p.shape != m.shape or g.shape != m.shape:
                 raise ShapeError(
                     f"parameter {i}: shapes {p.shape}/{g.shape} do not match state {m.shape}"
                 )
-            gv = g.array
-            m *= self.beta1
-            tmp = (1.0 - self.beta1) * gv
-            m += tmp
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, gv, out=tmp)
-            tmp *= gv
-            v += tmp
-            np.divide(v, v_scale, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            new = m / m_scale
-            new *= self.lr
-            new /= tmp
-            np.subtract(p.array, new, out=new)
+        self.step_count += 1
+        t = self.step_count
+        scales = (self.beta1, self.beta2, 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t,
+                  self.lr, self.eps)
+        out = []
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            new = np.empty_like(m)
+            arrays = (p.array, g.array, m, v, np.empty_like(m), new)
+            if m.size < _SPLIT_SIZE:
+                _adam_update(*arrays, scales)
+            else:
+                h = m.size // 2
+                flat = [a.reshape(-1) for a in arrays]
+                _in_halves(_adam_update, [*(a[:h] for a in flat), scales],
+                           [*(a[h:] for a in flat), scales])
             out.append(Tensor._adopt(new))
         return out
+
+
+def _adam_update(p, g, m, v, tmp, new, scales) -> None:
+    """One Adam update of `m`, `v` and `new` in place, in the formulas' op order."""
+    beta1, beta2, m_scale, v_scale, lr, eps = scales
+    m *= beta1
+    np.multiply(1.0 - beta1, g, tmp)
+    m += tmp
+    v *= beta2
+    np.multiply(1.0 - beta2, g, tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, v_scale, tmp)
+    np.sqrt(tmp, tmp)
+    tmp += eps
+    np.divide(m, m_scale, new)
+    new *= lr
+    new /= tmp
+    np.subtract(p, new, new)

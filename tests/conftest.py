@@ -1,10 +1,12 @@
 """Shared builders for small deterministic test fixtures."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import heteroadapt.numerics as numerics
 import heteroadapt.training as training
 from heteroadapt.data import DomainData, MultiSourceTask
 from heteroadapt.model import (
@@ -29,6 +31,25 @@ else:
     settings.register_profile("heteroadapt", derandomize=True, deadline=None,
                               max_examples=40, database=None)
     settings.load_profile("heteroadapt")
+
+
+def pytest_report_header(config):
+    """The numeric environment that bit-identical traces depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        blas = "unknown"
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"numerics: numpy {np.__version__}, BLAS {blas}, {threads}, "
+            f"usable cores {len(os.sched_getaffinity(0))}")
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # `-q` drops the header, so a quiet log names the environment at its end
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def make_transformer(rng, d_in, hidden, d_c, scale=0.8):
@@ -132,3 +153,16 @@ def overflow_gradient_at_third_step(monkeypatch):
         return replace(obj, objective=obj.objective + blowup)
 
     monkeypatch.setattr(training, "transformer_objective", overflowing_at_third_step)
+
+
+def count_halves(monkeypatch) -> list:
+    """The kernel of every `_in_halves` call from now on, in call order."""
+    seen = []
+    real = numerics._in_halves
+
+    def spy(kernel, top, bottom):
+        seen.append(kernel)
+        real(kernel, top, bottom)
+
+    monkeypatch.setattr(numerics, "_in_halves", spy)
+    return seen

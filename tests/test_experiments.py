@@ -290,3 +290,13 @@ class TestReproducibility:
         seq = run_ablation(task, ["full"], (0, 1, 2), config, jobs=1)
         par = run_ablation(task, ["full"], (0, 1, 2), config, jobs=3)
         assert seq[0].accuracies == par[0].accuracies
+
+    def test_jobs_sharing_the_helper_thread_do_not_change_results(self):
+        # 150-row sources at width 64 split their products, so two job
+        # threads hand halves to the one helper thread at the same time
+        task = tiny_task(samples_per_class=50, target_unlabeled=150)
+        config = tiny_config(d_c=64, hidden=64, iterations=4)
+        seq = run_ablation(task, ["full"], (0, 1), config, jobs=1, keep_traces=True)
+        par = run_ablation(task, ["full"], (0, 1), config, jobs=2, keep_traces=True)
+        assert seq[0].accuracies == par[0].accuracies
+        assert [repr(t.records) for t in seq[0].traces] == [repr(t.records) for t in par[0].traces]

@@ -1,20 +1,28 @@
 """Tensor, tape, primitive ops, Adam, and the finite-difference oracle."""
 
 import math
+import multiprocessing
+import os
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import count_halves
 from oracles import grad_check
 
+import heteroadapt.numerics as numerics
 from heteroadapt.errors import NonFiniteError, ShapeError
 from heteroadapt.numerics import (
     Adam,
     Tape,
     Tensor,
     add,
+    affine_values,
     leaky_relu,
     matmul_affine,
+    mul,
     relu,
     scale,
     sigmoid,
@@ -456,6 +464,93 @@ class TestLifetime:
             np.testing.assert_array_equal(bits(grad.array), bits(ref))
 
 
+# The operands of an (m, k) @ (k, n) product in the layouts `matmul_affine`
+# uses: the forward x @ w, the weight gradient x.T @ g, the input gradient g @ w.T.
+LAYOUTS = {
+    "NN": lambda rng, m, n, k: (rng.uniform(-1, 1, (m, k)), rng.uniform(-1, 1, (k, n))),
+    "TN": lambda rng, m, n, k: (rng.uniform(-1, 1, (k, m)).T, rng.uniform(-1, 1, (k, n))),
+    "NT": lambda rng, m, n, k: (rng.uniform(-1, 1, (m, k)), rng.uniform(-1, 1, (n, k)).T),
+}
+
+
+def check_split_product(x, w, b, want):
+    """Exit status 0 if a split `affine_values` gives `want` (for a child process)."""
+    if not np.array_equal(bits(affine_values(x, w, b)), bits(want)):
+        raise SystemExit(1)
+
+
+class TestSplitKernels:
+    @pytest.mark.parametrize("m", [127, 128, 300, 509, 1109])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_matmul_equals_one_product_bit_for_bit(self, layout, m):
+        rng = np.random.default_rng(m)
+        for n in (63, 64, 256):
+            for k in (9, 32, 256, 2000):
+                a, b = LAYOUTS[layout](rng, m, n, k)
+                np.testing.assert_array_equal(bits(numerics._matmul(a, b)), bits(a @ b),
+                                              err_msg=f"({m}, {k}) @ ({k}, {n})")
+
+    def test_only_large_products_and_parameters_split(self, monkeypatch):
+        halves = count_halves(monkeypatch)
+        for m, n in [(127, 256), (128, 63), (4, 4)]:
+            numerics._matmul(np.ones((m, 8)), np.ones((8, n)))
+        small = [Tensor(np.ones(2 ** 15 - 1)), Tensor(np.ones((4, 4)))]
+        Adam(small, lr=0.1).step(small, small)
+        assert halves == []
+        numerics._matmul(np.ones((128, 8)), np.ones((8, 64)))
+        assert halves == [np.matmul]
+        large = [Tensor(np.ones(2 ** 15))]
+        Adam(large, lr=0.1).step(large, large)
+        assert halves == [np.matmul, numerics._adam_update]
+
+    def test_matmul_affine_splits_its_forward_and_both_matrix_vjps(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        xv, wv, bv = (rng.uniform(-1, 1, s) for s in [(256, 128), (128, 64), (64,)])
+        gv = rng.uniform(-1, 1, (256, 64))
+        halves = count_halves(monkeypatch)
+        tape = Tape()
+        x, w, b = tape.param(xv), tape.param(wv), tape.param(bv)
+        out = matmul_affine(x, w, b)
+        gx, gw, _ = tape.backward(sum_sq(mul(out, tape.constant(gv))))
+        assert halves == [np.matmul] * 3
+        g = 2.0 * out.value * gv * gv
+        assert np.array_equal(bits(out.value), bits(xv @ wv + bv))
+        assert np.array_equal(bits(gx.array), bits(g @ wv.T))
+        assert np.array_equal(bits(gw.array), bits(xv.T @ g))
+
+    def test_concurrent_callers_share_the_helper(self):
+        # more calling threads than cores, switching as often as possible
+        rng = np.random.default_rng(4)
+        pairs = [(rng.uniform(-1, 1, (300, 40)), rng.uniform(-1, 1, (40, 64))) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(pairs)) as pool:
+                futures = [pool.submit(lambda a, b: [numerics._matmul(a, b) for _ in range(20)],
+                                       a, b) for a, b in pairs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (a, b), outs in zip(pairs, results):
+            for out in outs:
+                assert np.array_equal(bits(out), bits(a @ b))
+
+    def test_forked_child_starts_its_own_helper(self):
+        rng = np.random.default_rng(3)
+        x, w, b = (rng.uniform(-1, 1, s) for s in [(300, 32), (32, 64), (64,)])
+        want = affine_values(x, w, b)  # starts the helper, given two usable cores
+        assert (numerics._helper() is None) == (len(os.sched_getaffinity(0)) == 1)
+        child = multiprocessing.get_context("fork").Process(
+            target=check_split_product, args=(x, w, b, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("a forked child hung on its first split product")
+        assert child.exitcode == 0
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params_bit_identical(self):
         p = [Tensor([[0.25, -1.5]])]
@@ -488,9 +583,18 @@ class TestAdam:
         assert opt.step_count == 2
 
     def test_three_steps_match_the_textbook_update_exactly(self):
+        self.check_three_textbook_steps([(3, 2), (4,)])
+
+    def test_split_parameters_match_the_textbook_update_exactly(self, monkeypatch):
+        halves = count_halves(monkeypatch)
+        self.check_three_textbook_steps([(2000, 256), (256, 256)])
+        assert halves == [numerics._adam_update] * 6  # both parameters, three steps
+
+    @staticmethod
+    def check_three_textbook_steps(shapes):
         rng = np.random.default_rng(6)
         b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
-        start = [rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 4)]
+        start = [rng.uniform(-1, 1, shape) for shape in shapes]
         opt = Adam([Tensor(a) for a in start], lr=lr, beta1=b1, beta2=b2, eps=eps)
         params = [Tensor(a) for a in start]
         ref = [a.copy() for a in start]
@@ -516,6 +620,14 @@ class TestAdam:
         opt = Adam([Tensor([1.0, 2.0])], lr=0.01)
         with pytest.raises(ShapeError):
             opt.step([Tensor([1.0, 2.0])], [Tensor([[1.0, 2.0]])])
+        # a later parameter's mismatch is found before the first one is updated
+        params = [Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0])]
+        opt = Adam(params, lr=0.01)
+        with pytest.raises(ShapeError, match="parameter 1"):
+            opt.step(params, [Tensor([0.5, -0.5]), Tensor([[1.0, 2.0, 3.0]])])
+        assert opt.step_count == 0
+        for state in opt.m + opt.v:
+            assert not state.any()
 
 
 class TestGradCheck:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import heteroadapt.model as model
+import heteroadapt.numerics as numerics
 import heteroadapt.training as training
 from heteroadapt.data import SynthSpec, synthetic_task
 from heteroadapt.errors import ConfigError, NonFiniteError, ShapeError
@@ -28,7 +29,7 @@ from heteroadapt.training import (
     train_step,
 )
 
-from conftest import overflow_gradient_at_third_step, target_soft
+from conftest import count_halves, overflow_gradient_at_third_step, target_soft
 from oracles import assert_traces_close, old_order_divergence_nodes, three_forward_train
 
 
@@ -338,6 +339,25 @@ class TestTrain:
         assert a.records == b.records
         for ta, tb in zip(fg_parameters(a.final_params), fg_parameters(b.final_params)):
             assert np.array_equal(ta.array, tb.array)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(SynthSpec(), id="desk"),
+        pytest.param(SynthSpec(source_dims=(300, 600), target_dim=1000), id="wide"),
+    ])
+    def test_helper_thread_does_not_change_results(self, monkeypatch, spec):
+        # the split kernels give the same bits whether the helper thread or
+        # the caller (one usable core) computes their bottom halves
+        task, config = synthetic_task(spec), TrainConfig(iterations=3)
+        halves = count_halves(monkeypatch)
+        shared = train(task, config)
+        assert {np.matmul, numerics._adam_update} <= set(halves)
+        monkeypatch.setattr(numerics, "_helper", lambda: None)
+        alone = train(task, config)
+        assert repr(shared.records) == repr(alone.records)
+        a, b = shared.final_params, alone.final_params
+        for ta, tb in zip(fg_parameters(a) + d_parameters(a), fg_parameters(b) + d_parameters(b),
+                          strict=True):
+            assert np.array_equal(ta.array.view(np.int64), tb.array.view(np.int64))
 
     def test_record_count_and_accuracy_from_next_forward(self):
         # iteration i's accuracy is read off iteration i+1's forward; it must
