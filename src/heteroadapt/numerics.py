@@ -29,18 +29,22 @@ Five rules keep the hot paths lean without changing a result:
   node or a vjp that reads it does; a pre-activation is freed as soon as
   its node is dropped.
 - Parallelism. A private helper thread computes half of each large
-  kernel. A product of at least 128 rows and 64 columns (`affine_values`,
-  both matrix vjps of `matmul_affine`) is split by rows of its output,
-  never along the contraction, so each entry keeps its k-loop and equals
-  one `a @ b` bit for bit (narrower products do not always). Adam updates
-  a parameter of at least 2**15 entries as two flat halves in the same op
-  order. Only shapes decide a split; with one usable core both halves run
-  in the caller, so traces do not depend on the core count.
+  kernel, under the caller's numpy error settings. A product of at least
+  128 rows and 64 columns (`affine_values`, both matrix vjps of
+  `matmul_affine`) is split by rows of its output, never along the
+  contraction, so each entry keeps its k-loop and equals one `a @ b` bit
+  for bit (narrower products do not always); it is split only while
+  OpenBLAS runs one thread. Adam updates a parameter of at least 2**15
+  entries as two flat halves in the same op order. A thread other than
+  the main one, or any with one usable core, runs the whole kernel, which
+  gives the same bits, so traces depend on neither the core count nor
+  `--jobs`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -339,50 +343,58 @@ def affine_values(x, w, b) -> Array:
 
 # -- the helper thread (see "Parallelism") -----------------------------------------
 
-_SPLIT_ROWS, _SPLIT_COLS = 128, 64  # the smallest product `_matmul` splits
-_SPLIT_SIZE = 1 << 15  # the smallest parameter `Adam.step` splits
+_SPLIT_ROWS, _SPLIT_COLS, _SPLIT_SIZE = 128, 64, 1 << 15  # the smallest split product, parameter
+# A product is split only while OpenBLAS runs one thread (the variable it reads
+# first decides); with more, its own threads share the cores already, and
+# two halves at once ran desk-width training 14% slower.
+_SERIAL_BLAS = (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")) == "1"
 _pools: list[ThreadPoolExecutor] = []  # the helper, once started
 os.register_at_fork(after_in_child=_pools.clear)  # a forked child has no helper thread
 
 
 def _helper() -> ThreadPoolExecutor | None:
-    """The helper thread, started on first use; None with one usable core."""
+    """The helper thread, started on first use; None with one usable core and
+    on any thread but the main one, whose caller then runs the whole kernel.
+
+    An `experiment --jobs` thread already shares the cores, and a helper that
+    needs the GIL to hand a half back waits behind the other jobs' Python:
+    with it, desk `--jobs 2` gained ×1.05 over `--jobs 1` instead of ×1.8."""
+    if threading.current_thread() is not threading.main_thread():
+        return None
     if not _pools and len(os.sched_getaffinity(0)) > 1:
-        # concurrent first calls may add two; only the first is used, and an
-        # executor starts no thread before its first task
         _pools.append(ThreadPoolExecutor(1, thread_name_prefix="heteroadapt-helper"))
     return _pools[0] if _pools else None
 
 
-def _in_halves(kernel, top, bottom) -> None:
-    """`kernel(*top)` in the caller and `kernel(*bottom)` on the helper. A kernel
-    calls only numpy, writing into arrays the caller allocated, so no function
-    of this package runs off the caller's thread."""
-    pool = _helper()
-    if pool is None:
-        kernel(*top)
-        kernel(*bottom)
-        return
-    future = pool.submit(kernel, *bottom)
+def _in_halves(pool: ThreadPoolExecutor, kernel, top, bottom) -> None:
+    """`kernel(*top)` in the caller and `kernel(*bottom)` on the helper `pool`.
+    A kernel is numpy's or private and writes into arrays the caller
+    allocated, so no public function of this package runs off the caller's
+    thread."""
+    future = pool.submit(_on_helper, kernel, list(bottom), np.geterr())
     try:
         kernel(*top)
     finally:
-        # Poll rather than sleep on the future: a caller that slept at every
-        # handoff ran its later single-threaded work slower (paper set-up
-        # about 20%); polling measured about half of that.
-        while not future.done():
-            os.sched_yield()
         future.result()
+
+
+def _on_helper(kernel, args: list, err: dict) -> None:
+    """`kernel(*args)` under the caller's numpy error settings (they are per
+    thread), holding no argument once the caller's wait ends."""
+    with np.errstate(**err):
+        kernel(*args)
+    args.clear()
 
 
 def _matmul(a: Array, b: Array) -> Array:
     """A new array `a @ b`, two row halves of it at once when it is large."""
     rows, cols = a.shape[0], b.shape[1]
-    if rows < _SPLIT_ROWS or cols < _SPLIT_COLS:
+    pool = _helper() if rows >= _SPLIT_ROWS and cols >= _SPLIT_COLS and _SERIAL_BLAS else None
+    if pool is None:
         return a @ b
     out = np.empty((rows, cols))
     h = rows // 2
-    _in_halves(np.matmul, (a[:h], b, out[:h]), (a[h:], b, out[h:]))
+    _in_halves(pool, np.matmul, (a[:h], b, out[:h]), (a[h:], b, out[h:]))
     return out
 
 
@@ -565,12 +577,13 @@ class Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             new = np.empty_like(m)
             arrays = (p.array, g.array, m, v, np.empty_like(m), new)
-            if m.size < _SPLIT_SIZE:
+            pool = _helper() if m.size >= _SPLIT_SIZE else None
+            if pool is None:
                 _adam_update(*arrays, scales)
             else:
                 h = m.size // 2
                 flat = [a.reshape(-1) for a in arrays]
-                _in_halves(_adam_update, [*(a[:h] for a in flat), scales],
+                _in_halves(pool, _adam_update, [*(a[:h] for a in flat), scales],
                            [*(a[h:] for a in flat), scales])
             out.append(Tensor._adopt(new))
         return out

@@ -46,12 +46,6 @@ def pytest_report_header(config):
             f"usable cores {len(os.sched_getaffinity(0))}")
 
 
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    # `-q` drops the header, so a quiet log names the environment at its end
-    if config.get_verbosity() < 0:
-        terminalreporter.write_line(pytest_report_header(config))
-
-
 def make_transformer(rng, d_in, hidden, d_c, scale=0.8):
     return TransformerParams(
         Tensor(rng.uniform(-scale, scale, (d_in, hidden))),
@@ -155,14 +149,22 @@ def overflow_gradient_at_third_step(monkeypatch):
     monkeypatch.setattr(training, "transformer_objective", overflowing_at_third_step)
 
 
+@pytest.fixture
+def split_products(monkeypatch):
+    """Split large products whatever OpenBLAS's thread count (see `numerics`)."""
+    monkeypatch.setattr(numerics, "_SERIAL_BLAS", True)
+
+
 def count_halves(monkeypatch) -> list:
-    """The kernel of every `_in_halves` call from now on, in call order."""
+    """The kernel of every `_in_halves` call from now on, in call order, with
+    large products split."""
     seen = []
     real = numerics._in_halves
 
-    def spy(kernel, top, bottom):
+    def spy(pool, kernel, top, bottom):
         seen.append(kernel)
-        real(kernel, top, bottom)
+        real(pool, kernel, top, bottom)
 
+    monkeypatch.setattr(numerics, "_SERIAL_BLAS", True)
     monkeypatch.setattr(numerics, "_in_halves", spy)
     return seen

@@ -274,6 +274,24 @@ class TestTrain:
         assert code == 1
         assert err == "error: iteration 0: delta_1 is not finite\n"
 
+    @pytest.mark.usefixtures("split_products")
+    def test_overflow_in_split_products_raises_no_numpy_warning(self, tmp_path, capsys):
+        # 150 source rows at width 64 split every product across the helper thread,
+        # which must keep the caller's numpy error settings
+        data = tmp_path / "data"
+        code, _, err = run_cli(["synth", "--dims", "12,14,target=16", "--per-class", "50",
+                                "--target-unlabeled", "200", "--out", str(data)], capsys)
+        assert code == 0, err
+        source = load_domain_file(data / "source_0_d12.txt")
+        huge = np.full(source.features.shape, 1.7e308)  # overflows the first product
+        save_domain_file(replace(source, features=Tensor(huge)), data / "source_0_d12.txt")
+        args = self._train_args(data, tmp_path / "run", ["--dc", "64", "--hidden", "64"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert err == "error: iteration 0: delta_1 is not finite\n"
+
     def test_overflow_at_first_step_leaves_header_only_trace(self, tmp_path, capsys):
         data = self._overflowing_data(tmp_path, capsys)
         code, _, _ = run_cli(self._train_args(data, tmp_path / "run"), capsys)

@@ -291,9 +291,10 @@ class TestReproducibility:
         par = run_ablation(task, ["full"], (0, 1, 2), config, jobs=3)
         assert seq[0].accuracies == par[0].accuracies
 
-    def test_jobs_sharing_the_helper_thread_do_not_change_results(self):
-        # 150-row sources at width 64 split their products, so two job
-        # threads hand halves to the one helper thread at the same time
+    @pytest.mark.usefixtures("split_products")
+    def test_jobs_do_not_change_split_results(self):
+        # 150-row sources at width 64 split their products: with one job the
+        # helper thread takes half of each, job threads compute whole products
         task = tiny_task(samples_per_class=50, target_unlabeled=150)
         config = tiny_config(d_c=64, hidden=64, iterations=4)
         seq = run_ablation(task, ["full"], (0, 1), config, jobs=1, keep_traces=True)

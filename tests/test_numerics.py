@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import sys
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -479,6 +480,7 @@ def check_split_product(x, w, b, want):
         raise SystemExit(1)
 
 
+@pytest.mark.usefixtures("split_products")
 class TestSplitKernels:
     @pytest.mark.parametrize("m", [127, 128, 300, 509, 1109])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -518,22 +520,48 @@ class TestSplitKernels:
         assert np.array_equal(bits(gx.array), bits(g @ wv.T))
         assert np.array_equal(bits(gw.array), bits(xv.T @ g))
 
-    def test_concurrent_callers_share_the_helper(self):
-        # more calling threads than cores, switching as often as possible
+    def test_helper_keeps_the_callers_error_settings(self):
+        # numpy's error settings are per thread; only the helper's half overflows
+        g = np.ones(2 ** 15)
+        g[2 ** 14:] = 1e200
+        params = [Tensor(np.zeros(2 ** 15))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                Adam(params, lr=0.1).step(params, [Tensor(g)])
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                Adam(params, lr=0.1).step(params, [Tensor(g)])
+
+    def test_concurrent_callers_match_one_product(self):
+        # the main thread and more threads than cores, switching as often as possible
         rng = np.random.default_rng(4)
         pairs = [(rng.uniform(-1, 1, (300, 40)), rng.uniform(-1, 1, (40, 64))) for _ in range(6)]
+
+        def products(a, b):
+            return [numerics._matmul(a, b) for _ in range(20)]
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(len(pairs)) as pool:
-                futures = [pool.submit(lambda a, b: [numerics._matmul(a, b) for _ in range(20)],
-                                       a, b) for a, b in pairs]
-                results = [f.result(timeout=60) for f in futures]
+            with ThreadPoolExecutor(len(pairs) - 1) as pool:
+                futures = [pool.submit(products, a, b) for a, b in pairs[1:]]
+                results = [products(*pairs[0])] + [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         for (a, b), outs in zip(pairs, results):
             for out in outs:
                 assert np.array_equal(bits(out), bits(a @ b))
+
+    def test_only_the_main_thread_hands_a_half_over(self, monkeypatch):
+        handed = []
+        real = numerics._on_helper
+        monkeypatch.setattr(numerics, "_on_helper", lambda *args: handed.append(args) or real(*args))
+        a, b = np.ones((128, 8)), np.ones((8, 64))
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(numerics._matmul, a, b).result(timeout=60)
+        assert handed == []
+        numerics._matmul(a, b)
+        assert len(handed) == (numerics._helper() is not None)
 
     def test_forked_child_starts_its_own_helper(self):
         rng = np.random.default_rng(3)

@@ -345,8 +345,8 @@ class TestTrain:
         pytest.param(SynthSpec(source_dims=(300, 600), target_dim=1000), id="wide"),
     ])
     def test_helper_thread_does_not_change_results(self, monkeypatch, spec):
-        # the split kernels give the same bits whether the helper thread or
-        # the caller (one usable core) computes their bottom halves
+        # the same bits whether the helper thread computes the bottom halves
+        # or the caller the whole kernels (one usable core, or a job thread)
         task, config = synthetic_task(spec), TrainConfig(iterations=3)
         halves = count_halves(monkeypatch)
         shared = train(task, config)
