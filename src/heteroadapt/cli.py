@@ -3,7 +3,8 @@
 Every command writes its outputs plus a plain-text manifest (config
 snapshot, input hashes, seed list, version, duration) into `--out`.
 Validation failures print one `error: ...` line, exit nonzero and leave
-no new directory behind.
+no new directory behind. Domain files are parsed and hashed on two cores
+where that pays (`_load_domain_files`), with the serial results and errors.
 """
 
 from __future__ import annotations
@@ -11,13 +12,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import os
+import pickle
+import subprocess
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, numerics
 from .data import (
+    DomainData,
     MultiSourceTask,
     SynthSpec,
     generate_synthetic_domains,
@@ -37,6 +44,7 @@ from .experiments import (
     write_summary_csvs,
 )
 from .model import LG_NORMS, WEIGHTINGS
+from .numerics import Tensor
 from .training import TrainConfig, TrainTrace, train
 
 DEFAULT_SWEEP_DIMS = "100:1000:100,target=2000"
@@ -183,17 +191,99 @@ def cmd_synth(args, out: Path) -> tuple[dict, str]:
 # -- train ----------------------------------------------------------------------
 
 
+def _read_share(paths) -> list:
+    """`(domain, sha256)` per file, ending at the first failing file's exception."""
+    outcomes = []
+    for path in paths:
+        try:
+            outcomes.append((load_domain_file(path), _sha256(Path(path))))
+        except Exception as exc:  # `_load_domain_files` raises it in file order
+            return [*outcomes, exc]
+    return outcomes
+
+
+def _parse_in_child(paths) -> None:
+    """Write `_read_share(paths)` for `_receive`: per domain a pickled header
+    and the raw features, or a pickled exception."""
+    for outcome in _read_share(paths):
+        if isinstance(outcome, Exception):
+            sys.stdout.buffer.write(pickle.dumps(outcome))
+        else:
+            d, digest = outcome
+            head = (d.name, d.labels, d.num_classes, d.features.shape, digest)
+            sys.stdout.buffer.write(pickle.dumps(head))
+            sys.stdout.buffer.write(d.features.array)
+    sys.stdout.buffer.flush()
+
+
+def _receive(stream, count: int) -> list:
+    """Up to `count` outcomes a `_parse_in_child` process wrote, features read
+    into arrays allocated here; fewer if it stopped at an error or died."""
+    outcomes = []
+    with contextlib.suppress(EOFError, pickle.UnpicklingError):
+        while len(outcomes) < count:
+            head = pickle.load(stream)
+            if isinstance(head, Exception):
+                return [*outcomes, head]
+            name, labels, num_classes, shape, digest = head
+            features = np.empty(shape)
+            if stream.readinto(features) != features.nbytes:
+                break
+            outcomes.append((DomainData(name, Tensor(features), labels, num_classes), digest))
+    return outcomes
+
+
+def _load_domain_files(paths):
+    """Yield each file's `(DomainData, sha256)` in order, raising the first
+    failing file's error in its place, as a serial loop would.
+
+    With two usable cores, one child parses and hashes the next largest
+    files, largest first, while its bytes plus `numerics._CHILD_START_BYTES`
+    stay within the bytes left here; those of a child that dies are parsed
+    here. The largest file stays here: freeing its bytes raises glibc's
+    mmap and trim thresholds as the serial loop did, and with that file in
+    the child, repeated paper-scale runs trained 4% slower.
+    """
+    sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in paths]
+    order = sorted(range(len(paths)), key=sizes.__getitem__, reverse=True)[1:]
+    taken = 2 * np.cumsum([sizes[i] for i in order]) + numerics._CHILD_START_BYTES <= sum(sizes)
+    share, child = sorted(i for i, fits in zip(order, taken) if fits), None
+    if share and len(os.sched_getaffinity(0)) > 1:
+        code = "import sys; sys.path[:0] = sys.argv[1:2]; import heteroadapt.cli as c; " \
+               "c._parse_in_child(sys.argv[2:])"
+        with contextlib.suppress(OSError):  # no interpreter to start
+            child = subprocess.Popen(
+                [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1]),
+                 *(os.fspath(paths[i]) for i in share)],
+                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        own = [i for i in range(len(paths)) if child is None or i not in share]
+        outcomes = dict(zip(own, _read_share([paths[i] for i in own])))
+        if child is not None:
+            outcomes.update(zip(share, _receive(child.stdout, len(share))))
+    finally:
+        if child is not None:
+            child.kill()
+            child.communicate()  # waits, and closes the pipe
+    for i in range(len(paths)):
+        if i not in outcomes:  # the child died first: parse the rest of its share here
+            rest = [j for j in share if j >= i]
+            outcomes.update(zip(rest, _read_share([paths[j] for j in rest])))
+        if isinstance(outcomes[i], Exception):
+            raise outcomes.pop(i)
+        yield outcomes.pop(i)
+
+
 def _load_task(args) -> tuple[MultiSourceTask, dict]:
-    provenance = {}
-    domains = []
+    provenance, domains = {}, []
     names = [f"source_{i}" for i in range(len(args.source))] + ["target"]
-    for name, path in zip(names, [*args.source, args.target]):
-        domain = load_domain_file(path)
+    paths = [*args.source, args.target]
+    for name, path, (domain, digest) in zip(names, paths, _load_domain_files(paths)):
         if domain.labels is None:
             raise ConfigError(f"{name.split('_')[0]} file {path} has no labels")
         domains.append(standardize(domain) if args.standardize else domain)
         provenance[name] = path
-        provenance[f"sha256.{name}"] = _sha256(Path(path))
+        provenance[f"sha256.{name}"] = digest
     labeled, unlabeled = split_target(domains.pop(), args.labeled_per_class, args.seed)
     task = MultiSourceTask.build(tuple(domains), labeled, unlabeled)
     provenance["labeled_per_class"] = args.labeled_per_class

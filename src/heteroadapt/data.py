@@ -5,7 +5,8 @@ domains (class means drawn once in a low-dimensional latent space) and
 makes each domain heterogeneous through its own random orthonormal
 projection plus additive noise. File ingestion reads the whitespace
 domain format: a `n d C` header line, then one `label f_1 .. f_d` row per
-sample, label -1 meaning unlabeled.
+sample, label -1 meaning unlabeled. `cli` may call `load_domain_file` in
+a child process; its result depends on nothing but the file.
 """
 
 from __future__ import annotations

@@ -30,10 +30,13 @@ class NonFiniteError(ValueError):
     """
 
     def __init__(self, quantity: str, *, position=None, iteration=None, records=()):
+        super().__init__(quantity)
         self.quantity, self.position = quantity, position
         self.iteration, self.records = iteration, list(records)
-        where = "" if iteration is None else f"iteration {iteration}: "
-        super().__init__(f"{where}{quantity} is not finite")
+
+    def __str__(self) -> str:  # read from the attributes, which unpickling restores
+        where = "" if self.iteration is None else f"iteration {self.iteration}: "
+        return f"{where}{self.quantity} is not finite"
 
 
 def check_fields(config) -> None:

@@ -1,11 +1,13 @@
 """Shared builders for small deterministic test fixtures."""
 
 import os
+import subprocess
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import heteroadapt.cli as cli
 import heteroadapt.numerics as numerics
 import heteroadapt.training as training
 from heteroadapt.data import DomainData, MultiSourceTask
@@ -153,6 +155,24 @@ def overflow_gradient_at_third_step(monkeypatch):
 def split_products(monkeypatch):
     """Split large products whatever OpenBLAS's thread count (see `numerics`)."""
     monkeypatch.setattr(numerics, "_SERIAL_BLAS", True)
+
+
+@pytest.fixture
+def parse_in_child(monkeypatch) -> list:
+    """Hand domain files to a parsing child however small they are, as if two
+    cores were usable (see `cli._load_domain_files`); the list collects the
+    `Popen` of every child started."""
+    started = []
+    real = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(numerics, "_CHILD_START_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli.subprocess, "Popen", spy)
+    return started
 
 
 def count_halves(monkeypatch) -> list:

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: files, traces, errors, determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import overflow_gradient_at_third_step
 
+import heteroadapt.cli as cli
 from heteroadapt.cli import (
     _config_from_args,
     _experiment_task,
@@ -16,7 +21,8 @@ from heteroadapt.cli import (
     parse_dims,
     parse_seeds,
 )
-from heteroadapt.data import SynthSpec, load_domain_file, save_domain_file
+from heteroadapt.data import DomainData, SynthSpec, load_domain_file, save_domain_file
+from heteroadapt.errors import ConfigError, ParseError
 from heteroadapt.numerics import Tensor
 from heteroadapt.training import TrainConfig
 
@@ -527,3 +533,197 @@ def test_failed_command_leaves_no_new_path(tmp_path, capsys, monkeypatch, argv, 
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert set(tmp_path.rglob("*")) == before
+
+
+# -- domain files parsed on two cores ---------------------------------------------------
+
+
+def domain_file(path, dim, labeled=True, bad_line=None):
+    """A 30-row, 3-class file of `dim` standard-normal features; line
+    `bad_line`, if given, holds a non-numeric value."""
+    features = np.random.default_rng(dim).normal(size=(30, dim))
+    save_domain_file(DomainData(path.stem, Tensor(features),
+                                np.arange(30) % 3 if labeled else None, 3), path)
+    if bad_line is not None:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[bad_line - 1] = lines[bad_line - 1].replace(" ", " x", 1)
+        path.write_text("".join(lines))
+    return path
+
+
+def load_task_or_error(argv):
+    """`cli._load_task` for `argv`: the task and provenance, or what it raised."""
+    try:
+        return cli._load_task(build_parser().parse_args(argv))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def task_bytes(loaded):
+    task, provenance = loaded
+    domains = [*task.sources, task.target_labeled, task.target_unlabeled]
+    return provenance, task.eval_labels.tobytes(), [
+        (d.name, d.num_classes, d.features.array.tobytes(),
+         None if d.labels is None else d.labels.tobytes()) for d in domains]
+
+
+def serially(monkeypatch, fn):
+    """`fn()` with one usable core, which starts no child."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return fn()
+
+
+def shares(started):
+    """The file names each child was given."""
+    return [[Path(p).name for p in child.args[4:]] for child in started]
+
+
+class TestTwoCoreLoading:
+    """`train` and `experiment --source` parse their largest files in a child."""
+
+    def _argv(self, files, out, command=("train",)):
+        *sources, target = files
+        argv = [*command]
+        for s in sources:
+            argv += ["--source", str(s)]
+        return [*argv, "--target", str(target), "--out", str(out)]
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_child_domains_and_digests_equal_the_serial_ones(self, tmp_path, monkeypatch,
+                                                             parse_in_child, standardize):
+        files = [domain_file(tmp_path / f"{name}.txt", dim)
+                 for name, dim in (("s0", 8), ("s1", 10), ("t", 12))]
+        argv = self._argv(files, tmp_path / "out") + ["--standardize"] * standardize
+        here = []
+        real = cli._read_share
+        monkeypatch.setattr(cli, "_read_share", lambda paths: here.append(paths) or real(paths))
+        serial = serially(monkeypatch, lambda: load_task_or_error(argv))
+        assert not parse_in_child and here == [[str(f) for f in files]]
+        here.clear()
+        two_core = load_task_or_error(argv)
+        assert shares(parse_in_child) == [["s1.txt"]]  # the largest file, t, stays here
+        assert here == [[str(files[0]), str(files[2])]]  # the child's file was not parsed here
+        assert task_bytes(two_core) == task_bytes(serial)
+
+    @pytest.mark.parametrize("command", [("train",), ("experiment", "ablate")])
+    def test_outputs_and_manifest_digests_equal_the_serial_ones(self, tmp_path, capsys,
+                                                                monkeypatch, parse_in_child,
+                                                                command):
+        data = synth_tiny(tmp_path / "data", capsys)  # source_0, source_1, target
+        flags = ["--dc", "8", "--hidden", "8", "--iters", "3"]
+        if command[0] == "experiment":
+            flags += ["--variants", "full,ones_weight", "--seeds", "0..1"]
+        outputs = {}
+        for mode, run in (("serial", serially), ("child", lambda m, fn: fn())):
+            argv = self._argv(data, tmp_path / mode, command) + flags
+            code, _, err = run(monkeypatch, lambda: run_cli(argv, capsys))
+            assert code == 0 and err == ""
+            digests = sorted(line for line in (tmp_path / mode / "manifest.txt").read_text()
+                             .splitlines() if line.startswith(("sha256.", "source_", "target ")))
+            csvs = {p.name: p.read_bytes() for p in (tmp_path / mode).glob("*.csv")}
+            outputs[mode] = digests, csvs
+        assert len(parse_in_child) == 1 and shares(parse_in_child)[0]
+        assert len(outputs["child"][0]) == 6 and outputs["child"] == outputs["serial"]
+
+    @pytest.mark.parametrize("dims, faults, share, fails", [
+        ((12, 8, 10), {2: ("bad", 5)}, ["t.txt"], ParseError),
+        ((12, 8, 10), {0: ("bad", 7)}, ["t.txt"], ParseError),
+        ((12, 8, 10), {0: ("unlabeled",), 2: ("bad", 4)}, ["t.txt"], ConfigError),
+        ((10, 8, 12), {0: ("bad", 9), 2: ("bad", 3)}, ["s0.txt"], ParseError),
+        ((10, 8, 12), {0: ("unlabeled",), 1: ("bad", 6)}, ["s0.txt"], ConfigError),
+        ((10, 8, 12), {1: ("bad", 3)}, ["s0.txt"], ParseError),
+        ((12, 8, 10), {2: ("binary",)}, ["t.txt"], UnicodeDecodeError),
+        ((8, 12, 8, 10), {0: ("missing",)}, ["t.txt"], FileNotFoundError),
+    ], ids=["bad-in-child", "bad-here", "no-labels-here-before-bad-in-child",
+            "bad-in-child-before-bad-here", "no-labels-in-child-before-bad-here",
+            "bad-here-after-good-child", "undecodable-in-child", "missing-here"])
+    def test_first_bad_file_raises_the_serial_error(self, tmp_path, monkeypatch,
+                                                    parse_in_child, dims, faults, share, fails):
+        files = [tmp_path / f"s{i}.txt" for i in range(len(dims) - 1)] + [tmp_path / "t.txt"]
+        for i, (path, dim) in enumerate(zip(files, dims)):
+            kind, *line = faults.get(i, ("good",))
+            if kind != "missing":
+                domain_file(path, dim, labeled=kind != "unlabeled", bad_line=(line or [None])[0])
+            if kind == "binary":  # as many bytes, none of them UTF-8
+                path.write_bytes(b"\xff" * path.stat().st_size)
+        argv = self._argv(files, tmp_path / "out")
+        serial = serially(monkeypatch, lambda: load_task_or_error(argv))
+        assert serial[0] is fails and isinstance(serial[1], str)
+        assert load_task_or_error(argv) == serial
+        assert shares(parse_in_child) == [share]
+        if fails is ParseError:
+            assert serial[2] is not None
+
+    def test_one_usable_core_starts_no_child(self, tmp_path, monkeypatch, parse_in_child):
+        files = [domain_file(tmp_path / f"{name}.txt", dim)
+                 for name, dim in (("s0", 8), ("s1", 10), ("t", 12))]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        loaded = load_task_or_error(self._argv(files, tmp_path / "out"))
+        assert not parse_in_child and isinstance(loaded[0], cli.MultiSourceTask)
+
+
+def fake_python(tmp_path, body):
+    """An executable that stands in for the interpreter: `body` is its shell
+    script, `$@` the arguments the child would get, `$REAL` the real one."""
+    path = tmp_path / "python"
+    path.write_text(f"#!/bin/sh\nREAL='{sys.executable}'\n{body}\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.mark.parametrize("child", [
+    "works", "dies-at-start-up", "dies-in-a-header", "dies-in-an-array", "cannot-start",
+])
+@pytest.mark.parametrize("bad", [False, True], ids=["good-files", "bad-file"])
+def test_no_child_outlives_loading_and_stderr_stays_clean(tmp_path, capfd, monkeypatch,
+                                                         parse_in_child, child, bad):
+    files = [domain_file(tmp_path / f"{name}.txt", dim, bad_line=9 if bad and name == "s1" else None)
+             for name, dim in (("s0", 8), ("s1", 10), ("t", 12))]  # the child takes s1
+    scripts = {
+        "dies-at-start-up": "echo 'Traceback (most recent call last):' >&2\nexit 1",
+        "dies-in-a-header": '"$REAL" "$@" > "$0.out"\nhead -c 40 "$0.out"\nexit 1',
+        "dies-in-an-array": '"$REAL" "$@" > "$0.out"\nhead -c 900 "$0.out"\nexit 1',
+    }
+    executable = {"works": sys.executable, "cannot-start": str(tmp_path / "no-such-python")}.get(
+        child) or fake_python(tmp_path, scripts[child])
+    monkeypatch.setattr(sys, "executable", executable)
+    argv = TestTwoCoreLoading()._argv(files, tmp_path / "run") + [
+        "--dc", "8", "--hidden", "8", "--iters", "2"]
+    code = main(argv)
+    out, err = capfd.readouterr()
+    assert all(c.returncode is not None for c in parse_in_child)  # each was waited on
+    assert len(parse_in_child) == (child != "cannot-start")
+    if bad:
+        assert code == 1 and err.startswith("error: line 9: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0 and err == "" and out.startswith("final_accuracy=")
+
+
+def test_stdin_parent_parses_in_a_child_without_a_traceback(tmp_path, capsys, monkeypatch):
+    """A spawned child does not re-run the parent's main module, which `python -`
+    does not have as a file."""
+    data = synth_tiny(tmp_path / "data", capsys)
+    argv = TestTwoCoreLoading()._argv(data, tmp_path / "stdin") + [
+        "--dc", "8", "--hidden", "8", "--iters", "3"]
+    script = (
+        "import os, subprocess, sys\n"
+        "from heteroadapt import cli, numerics\n"
+        "numerics._CHILD_START_BYTES = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real, started = subprocess.Popen, []\n"
+        "subprocess.Popen = lambda *a, **k: started.append(real(*a, **k)) or started[-1]\n"
+        f"code = cli.main({argv!r})\n"
+        "assert len(started) == 1 and started[0].returncode is not None, started\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    serial = serially(monkeypatch, lambda: run_cli(
+        TestTwoCoreLoading()._argv(data, tmp_path / "serial") + [
+            "--dc", "8", "--hidden", "8", "--iters", "3"], capsys))
+    assert serial[0] == 0
+    trace = (tmp_path / "stdin" / "trace.csv").read_bytes()
+    assert trace == (tmp_path / "serial" / "trace.csv").read_bytes()
