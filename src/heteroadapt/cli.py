@@ -275,7 +275,8 @@ def _load_domain_files(paths):
 
 
 def _load_task(args) -> tuple[MultiSourceTask, dict]:
-    provenance, domains = {}, []
+    provenance = {}
+    domains = []
     names = [f"source_{i}" for i in range(len(args.source))] + ["target"]
     paths = [*args.source, args.target]
     for name, path, (domain, digest) in zip(names, paths, _load_domain_files(paths)):

@@ -344,8 +344,8 @@ def affine_values(x, w, b) -> Array:
 # -- the helper thread (see "Parallelism") -----------------------------------------
 
 _SPLIT_ROWS, _SPLIT_COLS, _SPLIT_SIZE = 128, 64, 1 << 15  # the smallest split product, parameter
-# The child that parses domain files beside `cli` takes about 95 ms to start on
-# a 2-vCPU host (interpreter, numpy, this package), the time it parses 9.3 MB.
+# The child that `cli` starts to parse domain files takes about 95 ms to start
+# on a 2-vCPU host (interpreter, numpy, this package): the time to parse 9.3 MB.
 _CHILD_START_BYTES = 9_300_000
 # A product is split only while OpenBLAS runs one thread (the variable it reads
 # first decides); with more, its own threads share the cores already, and

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import heteroadapt.cli as cli
 import heteroadapt.numerics as numerics
 import heteroadapt.training as training
 from heteroadapt.data import DomainData, MultiSourceTask
@@ -171,7 +170,7 @@ def parse_in_child(monkeypatch) -> list:
 
     monkeypatch.setattr(numerics, "_CHILD_START_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cli.subprocess, "Popen", spy)
+    monkeypatch.setattr(subprocess, "Popen", spy)
     return started
 
 
