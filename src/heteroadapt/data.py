@@ -119,6 +119,11 @@ class MultiSourceTask:
         sealed = replace(target_unlabeled, labels=None)
         return cls(sources, target_labeled, sealed, target_unlabeled.labels)
 
+    def require_eval_labels(self) -> None:
+        """Reject a task whose unlabeled split cannot be scored."""
+        if self.eval_labels is None:
+            raise ConfigError("target unlabeled split carries no held-out labels to evaluate")
+
     @property
     def num_sources(self) -> int:
         return len(self.sources)

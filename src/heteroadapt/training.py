@@ -247,8 +247,7 @@ def validate_task(task: MultiSourceTask, params: ModelParams) -> None:
     count, per-domain input widths or class count differ from the task's."""
     if task.num_sources < 1:
         raise ConfigError("training needs at least one source domain")
-    if task.eval_labels is None:
-        raise ConfigError("target unlabeled split carries no held-out labels to evaluate")
+    task.require_eval_labels()
     fit = [("source transformers", params.num_sources, task.num_sources)]
     fit += [(f"source {k} input width", t.d_in, s.dim)
             for k, (t, s) in enumerate(zip(params.sources, task.sources))]

@@ -5,6 +5,8 @@ no shared code with the package) so a defect in the vectorized/tape paths
 cannot hide in its own oracle.
 """
 
+from __future__ import annotations
+
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +275,103 @@ def three_forward_train(task, config):
             target_acc,
         ))
     return records, params
+
+
+def _lrelu(a, slope):
+    return np.where(a >= slope * a, a, slope * a)
+
+
+def _lrelu_grad(a, slope):
+    return np.where(a >= slope * a, 1.0, slope)
+
+
+def _one_hot(labels, num_classes):
+    out = np.zeros((labels.shape[0], num_classes))
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
+
+
+def plain_supervised_train(
+    params: ModelParams,
+    task: MultiSourceTask,
+    config: TrainConfig,
+) -> tuple[list[float], ModelParams]:
+    """Hand-rolled supervised training of the transformers plus classifier.
+
+    Per-domain mean cross-entropy on every source and the labeled target
+    (a task without sources trains the target alone), plus the squared
+    penalty on classifier and transformer weight matrices. Gradients are
+    derived manually and applied with a local Adam implementation; nothing
+    here goes through the gradient tape. Returns the per-iteration loss
+    values and the final parameters (discriminator untouched).
+    """
+    from heteroadapt.errors import ConfigError
+    from heteroadapt.model import fg_parameters, replace_fg
+    from heteroadapt.numerics import Tensor
+
+    if params.tied_second:
+        raise ConfigError("the plain trainer does not support tied second layers")
+    slope, tau = config.leaky_slope, config.tau
+    domains = [(d.features.array, _one_hot(d.labels, task.num_classes))
+               for d in (*task.sources, task.target_labeled)]
+    # fg_parameters order: w1, b1, w2, b2 per domain (sources, then the
+    # target), then the classifier's w, b in the last two slots
+    flat = [leaf.array.copy() for leaf in fg_parameters(params)]
+    cls_off = 4 * len(domains)
+    m = [np.zeros_like(a) for a in flat]
+    v = [np.zeros_like(a) for a in flat]
+    b1c, b2c, eps, lr = 0.9, 0.999, 1e-8, config.lr_fg
+
+    losses = []
+    for step in range(1, config.iterations + 1):
+        grads = [np.zeros_like(a) for a in flat]
+        wc, bc = flat[cls_off:]
+        terms = []
+        for i, (x, y) in enumerate(domains):
+            off = 4 * i
+            w1, bias1, w2, bias2 = flat[off: off + 4]
+            a1 = x @ w1 + bias1
+            h1 = _lrelu(a1, slope)
+            a2 = h1 @ w2 + bias2
+            h2 = _lrelu(a2, slope)
+            z = h2 @ wc + bc
+            mx = z.max(axis=1, keepdims=True)
+            softmax = np.exp(z - mx)
+            total = softmax.sum(axis=1, keepdims=True)
+            lse = mx[:, 0] + np.log(total[:, 0])
+            terms.append(np.mean(lse - (z * y).sum(axis=1)))
+            softmax /= total
+            dz = (softmax - y) / x.shape[0]
+            grads[cls_off] += h2.T @ dz
+            grads[cls_off + 1] += dz.sum(axis=0)
+            dh2 = dz @ wc.T
+            da2 = dh2 * _lrelu_grad(a2, slope)
+            grads[off + 2] += h1.T @ da2
+            grads[off + 3] += da2.sum(axis=0)
+            dh1 = da2 @ w2.T
+            da1 = dh1 * _lrelu_grad(a1, slope)
+            grads[off] += x.T @ da1
+            grads[off + 1] += da1.sum(axis=0)
+        # same composition order as the tape objective: target term first
+        loss = sum(terms[:-1], terms[-1])
+        if tau > 0.0:
+            penalty = np.sum(wc * wc)
+            for w1, w2 in zip(flat[0:cls_off:4], flat[2:cls_off:4]):
+                penalty += np.sum(w1 * w1) + np.sum(w2 * w2)
+            loss = loss + tau * penalty
+            grads[cls_off] += tau * 2.0 * wc
+            for off in range(0, cls_off, 4):
+                grads[off] += tau * 2.0 * flat[off]
+                grads[off + 2] += tau * 2.0 * flat[off + 2]
+        losses.append(float(loss))
+
+        for i, g in enumerate(grads):
+            m[i] = b1c * m[i] + (1.0 - b1c) * g
+            v[i] = b2c * v[i] + (1.0 - b2c) * g * g
+            mhat = m[i] / (1.0 - b1c ** step)
+            vhat = v[i] / (1.0 - b2c ** step)
+            flat[i] = flat[i] - lr * mhat / (np.sqrt(vhat) + eps)
+    return losses, replace_fg(params, [Tensor(a) for a in flat])
 
 
 def fstring_save_domain_file(domain, path):

@@ -8,13 +8,12 @@ criteria. Everything is seeded; reruns are bit-identical.
 import numpy as np
 import pytest
 from conftest import frozen_embeddings, make_params, make_task, target_soft
-from oracles import grad_check, naive_class_conditional_mmd
+from oracles import grad_check, naive_class_conditional_mmd, plain_supervised_train
 
 from heteroadapt.cli import main as cli_main
 from heteroadapt.data import SynthSpec, synthetic_task
 from heteroadapt.experiments import (
     default_task,
-    plain_supervised_train,
     run_noise_detection,
     run_source_sweep,
 )

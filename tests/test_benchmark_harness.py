@@ -26,7 +26,8 @@ def test_benchmark_selftest_passes():
 
 # Names the benchmark still reports although the package deleted them; the
 # tracer marks them `absent` and their metrics read 0.
-KNOWN_ABSENT = {"model.build_transformer_objective", "training.iteration_state"}
+KNOWN_ABSENT = {"model.build_transformer_objective", "training.iteration_state",
+                "experiments.plain_supervised_train"}
 
 
 def _traced_names() -> tuple[str, ...]:

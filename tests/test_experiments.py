@@ -1,9 +1,11 @@
 """Baselines, the reduction oracle, ablation wiring, and summary output."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import plain_supervised_train
 
 from heteroadapt import experiments
 from heteroadapt.data import SynthSpec, load_domain_file, synthetic_task
@@ -13,16 +15,17 @@ from heteroadapt.experiments import (
     ablation_config,
     default_task,
     export_embeddings,
-    plain_supervised_train,
     run_ablation,
     run_baseline_nnst,
     run_baseline_nnt,
     run_noise_detection,
     run_source_sweep,
     summarize,
+    supervised_train,
     write_summary_csvs,
 )
 from heteroadapt.model import fg_parameters
+from heteroadapt.numerics import Tensor
 from heteroadapt.training import TrainConfig, evaluate_accuracy, init_params, train
 
 
@@ -77,6 +80,20 @@ class TestReductionOracle:
         for ta, tb in zip(fg_parameters(trace.final_params), fg_parameters(plain_final)):
             np.testing.assert_allclose(ta.array, tb.array, atol=1e-9)
 
+    @pytest.mark.parametrize("num_sources", [0, 1, 2, 3],
+                             ids=["0_sources", "1_source", "2_sources", "3_sources"])
+    def test_supervised_train_matches_plain_trainer(self, num_sources):
+        # the baselines' tape loop follows the hand-derived trainer too;
+        # without sources it is the NNt case
+        task = tiny_task(source_dims=(12, 14, 10))
+        task = replace(task, sources=task.sources[:num_sources])
+        config = tiny_config(iterations=40)
+        params = init_params(task, config)
+        _, plain_final = plain_supervised_train(params, task, config)
+        final = supervised_train(params, task, config)
+        for ta, tb in zip(fg_parameters(final), fg_parameters(plain_final), strict=True):
+            np.testing.assert_allclose(ta.array, tb.array, rtol=0.0, atol=1e-9)
+
     def test_plain_trainer_learns(self):
         task = tiny_task(spread=0.2)
         config = tiny_config(iterations=60)
@@ -96,8 +113,6 @@ class TestReductionOracle:
 
 class TestBaselines:
     def test_nnt_ignores_sources_entirely(self):
-        from dataclasses import replace
-
         config = tiny_config(iterations=15)
         task = tiny_task()
         with_sources = run_baseline_nnt(task, config, seeds=(0, 1))
@@ -111,8 +126,6 @@ class TestBaselines:
     def test_nnt_under_tied_config_matches_l1(self):
         # NNt strips the sources, so nothing is left to tie and the RNG draws
         # are those of any other lg_norm; NNst keeps its sources and refuses
-        from dataclasses import replace
-
         config = tiny_config(iterations=15)
         task = tiny_task()
         tied = run_baseline_nnt(task, replace(config, lg_norm="tied"), seeds=(0, 1))
@@ -126,18 +139,31 @@ class TestBaselines:
         assert summary.accuracies[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_nnst_uses_unlabeled_target_nowhere(self):
-        # replacing the unlabeled pool changes nothing about training,
-        # only about what gets scored; same labels -> same predictions
+        # replacing the unlabeled pool changes nothing about training
         config = tiny_config(iterations=15)
         task = tiny_task()
-        base = run_baseline_nnst(task, config, seeds=(0,))
-        again = run_baseline_nnst(task, config, seeds=(0,))
-        assert base.accuracies == again.accuracies
+        pool = task.target_unlabeled
+        noise = np.random.default_rng(7).normal(size=pool.features.shape)
+        swapped = replace(task, target_unlabeled=replace(pool, features=Tensor(noise)))
+        params = init_params(task, config)
+        base = supervised_train(params, task, config)
+        again = supervised_train(params, swapped, config)
+        for ta, tb in zip(fg_parameters(base), fg_parameters(again), strict=True):
+            assert np.array_equal(ta.array, tb.array)
+
+    @pytest.mark.parametrize("baseline", [run_baseline_nnt, run_baseline_nnst],
+                             ids=["nnt", "nnst"])
+    def test_task_without_eval_labels_rejected_before_training(self, baseline, monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiments, "supervised_train",
+                            lambda *args: trained.append(args))
+        task = replace(tiny_task(), eval_labels=None)
+        with pytest.raises(ConfigError, match="no held-out labels"):
+            baseline(task, tiny_config(iterations=1), seeds=(0,))
+        assert trained == []
 
     def test_nnst_beats_nnt_on_related_task(self):
         # paired per-seed runs; each seed regenerates the task and the split
-        from dataclasses import replace
-
         config = tiny_config(iterations=300)
         seeds = (0, 1, 2, 3, 4)
         nnt_acc, nnst_acc = [], []

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import heteroadapt.experiments as experiments
 import heteroadapt.model as model
 import heteroadapt.numerics as numerics
 import heteroadapt.training as training
@@ -175,13 +176,23 @@ class TestTrainStep:
             alive.append(tapes[-1]() is not None)
             return real_step(self, *args)
 
+        def spy_tape():
+            tape = numerics.Tape()
+            tapes.append(weakref.ref(tape))
+            return tape
+
         monkeypatch.setattr(training, "embedding_pass", spy_pass)
+        monkeypatch.setattr(experiments, "Tape", spy_tape)
         monkeypatch.setattr(Adam, "step", spy_step)
         train_step(params, Adam(fg_parameters(params), config.lr_fg),
                    Adam(d_parameters(params), config.lr_d), task, config)
         # the discriminator step runs while the pass is still needed; the
         # transformer/classifier step after every value has been read
         assert alive == [True, False]
+        # the baselines' loop drops each iteration's tape before its step
+        alive.clear()
+        experiments.supervised_train(params, task, replace(config, iterations=3))
+        assert alive == [False, False, False]
 
     def test_conditional_weights_in_range(self):
         task = tiny_task()
