@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, numerics
+from . import __version__
 from .data import (
     DomainData,
     MultiSourceTask,
@@ -135,7 +135,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> argparse.Action:
     seed = parser.add_argument("--seed", type=int, default=cfg.seed)
     parser.add_argument("--lg", dest="lg_norm", choices=LG_NORMS, default=cfg.lg_norm)
     parser.add_argument("--weighting", choices=WEIGHTINGS, default=cfg.weighting)
-    parser.add_argument("--leaky-slope", type=float, default=cfg.leaky_slope)
     return seed
 
 
@@ -233,12 +232,17 @@ def _receive(stream, count: int) -> list:
     return outcomes
 
 
+# A parsing child takes about 95 ms to start on a 2-vCPU host (interpreter,
+# numpy, this package): the time to parse 9.3 MB.
+_CHILD_START_BYTES = 9_300_000
+
+
 def _load_domain_files(paths):
     """Yield each file's `(DomainData, sha256)` in order, raising the first
     failing file's error in its place, as a serial loop would.
 
     With two usable cores, one child parses and hashes the next largest
-    files, largest first, while its bytes plus `numerics._CHILD_START_BYTES`
+    files, largest first, while its bytes plus `_CHILD_START_BYTES`
     stay within the bytes left here; those of a child that dies are parsed
     here. The largest file stays here: freeing its bytes raises glibc's
     mmap and trim thresholds as the serial loop did, and with that file in
@@ -246,7 +250,7 @@ def _load_domain_files(paths):
     """
     sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in paths]
     order = sorted(range(len(paths)), key=sizes.__getitem__, reverse=True)[1:]
-    taken = 2 * np.cumsum([sizes[i] for i in order]) + numerics._CHILD_START_BYTES <= sum(sizes)
+    taken = 2 * np.cumsum([sizes[i] for i in order]) + _CHILD_START_BYTES <= sum(sizes)
     share, child = sorted(i for i, fits in zip(order, taken) if fits), None
     if share and len(os.sched_getaffinity(0)) > 1:
         code = "import sys; sys.path[:0] = sys.argv[1:2]; import heteroadapt.cli as c; " \
@@ -318,8 +322,7 @@ def cmd_train(args, out: Path) -> tuple[dict, str]:
         raise
     write_trace_csv(out / "trace.csv", trace, task.num_sources)
     if args.export_embeddings:
-        export_embeddings(trace.final_params, task, out / "embeddings.txt",
-                          config.leaky_slope)
+        export_embeddings(trace.final_params, task, out / "embeddings.txt")
     entries = {**_config_entries(config), **provenance,
                "final_accuracy": repr(trace.final_accuracy)}
     return entries, f"final_accuracy={trace.final_accuracy!r}"

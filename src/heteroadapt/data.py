@@ -34,16 +34,7 @@ class DomainData:
         if self.num_classes < 1:
             raise ConfigError(f"domain {self.name!r}: class count must be positive")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (self.n,):
-                raise ConfigError(
-                    f"domain {self.name!r}: {labels.shape[0] if labels.ndim else 0} labels "
-                    f"for {self.n} samples"
-                )
-            if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-                raise ConfigError(
-                    f"domain {self.name!r}: labels must lie in [0, {self.num_classes})"
-                )
+            labels = _class_labels(self.labels, self.n, self.num_classes, self.name, "labels")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -58,6 +49,18 @@ class DomainData:
         if self.labels is None:
             raise ConfigError(f"domain {self.name!r} has no labels")
         return np.bincount(self.labels, minlength=self.num_classes)
+
+
+def _class_labels(values, n: int, num_classes: int, domain: str, field: str) -> np.ndarray:
+    """`values` as n int64 classes, by the domain file's rule: each an integer
+    (`2.0` too; not a fraction, non-finite or boolean) in [0, num_classes)."""
+    raw = np.asarray(values)
+    if raw.shape != (n,):
+        raise ConfigError(f"domain {domain!r}: {field} of shape {raw.shape} for {n} samples")
+    integral = raw.dtype.kind in "iu" or raw.dtype.kind == "f" and np.all(raw == np.trunc(raw))
+    if not integral or n and (raw.min() < 0 or raw.max() >= num_classes):  # nan, inf fail
+        raise ConfigError(f"domain {domain!r}: {field} must be integers in [0, {num_classes})")
+    return raw.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,9 @@ class MultiSourceTask:
         if unlabeled.labels is not None:
             raise ConfigError(f"target unlabeled split {unlabeled.name!r} must not carry "
                               "labels; pass them as eval_labels or use MultiSourceTask.build")
-        if self.eval_labels is not None and np.shape(self.eval_labels) != (unlabeled.n,):
-            raise ConfigError(f"eval_labels has shape {np.shape(self.eval_labels)}, expected "
-                              f"one label per unlabeled row ({unlabeled.n},)")
+        if self.eval_labels is not None:
+            object.__setattr__(self, "eval_labels", _class_labels(
+                self.eval_labels, unlabeled.n, C, unlabeled.name, "eval_labels"))
 
     @classmethod
     def build(
@@ -169,6 +172,8 @@ class SynthSpec:
             raise ConfigError("unlabeled count cannot be negative")
         if self.spread <= 0 or self.noise < 0:
             raise ConfigError("spread must be positive and noise non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

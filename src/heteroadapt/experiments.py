@@ -85,14 +85,13 @@ def supervised_train(params: ModelParams, task: MultiSourceTask,
     `task` (never its unlabeled split): per iteration, one tape with
     `classification_loss` at unit source weights, then one Adam step taken
     with no tape alive (the "Lifetime" rule of `numerics`)."""
-    slope = config.leaky_slope
     opt = Adam(fg_parameters(params), config.lr_fg)
     for _ in range(config.iterations):
         tape = Tape()
         model = lift_fg(tape, params, trainable=True)
-        sources = [transform(t, tape.constant(d.features), slope)
+        sources = [transform(t, tape.constant(d.features))
                    for t, d in zip(model.sources, task.sources)]
-        labeled = transform(model.target, tape.constant(task.target_labeled.features), slope)
+        labeled = transform(model.target, tape.constant(task.target_labeled.features))
         loss = classification_loss(model, TaskEmbeddings(sources, labeled, None), task,
                                    [1.0] * task.num_sources, config.tau)
         grads = tape.backward(loss)
@@ -109,9 +108,7 @@ def _supervised_single(task: MultiSourceTask, config: TrainConfig) -> float:
     if params.tied_second:
         raise ConfigError("the supervised baselines do not support tied second layers")
     final = supervised_train(params, task, config)
-    return evaluate_accuracy(
-        final, task.target_unlabeled.features, task.eval_labels, config.leaky_slope
-    )
+    return evaluate_accuracy(final, task.target_unlabeled.features, task.eval_labels)
 
 
 def run_baseline_nnt(task: MultiSourceTask, config: TrainConfig,
@@ -237,8 +234,7 @@ def default_task(seed: int = 0, **spec_overrides) -> MultiSourceTask:
 # -- outputs ---------------------------------------------------------------------
 
 
-def export_embeddings(params: ModelParams, task: MultiSourceTask, path,
-                      slope: float = 0.01) -> None:
+def export_embeddings(params: ModelParams, task: MultiSourceTask, path) -> None:
     """Write every sample's embedding for external visualization.
 
     Domain-file layout with two metadata feature columns in front: the
@@ -252,7 +248,7 @@ def export_embeddings(params: ModelParams, task: MultiSourceTask, path,
     parts += [(k_total, params.target, task.target_labeled, task.target_labeled.labels),
               (k_total, params.target, task.target_unlabeled, np.full(task.target_unlabeled.n, -1))]
     rows = np.vstack([
-        np.column_stack([np.full(d.n, float(k)), labels, transform_values(t, d.features, slope)])
+        np.column_stack([np.full(d.n, float(k)), labels, transform_values(t, d.features)])
         for k, t, d, labels in parts
     ])
     save_domain_file(DomainData("embeddings", Tensor(rows), None, task.num_classes), path)

@@ -236,10 +236,10 @@ def lift_discriminator(tape: Tape, model: ModelParams, disc: DiscriminatorParams
 # -- forward passes -----------------------------------------------------------
 
 
-def transform(t: TransformerParams, x: Node, slope: float) -> Node:
+def transform(t: TransformerParams, x: Node) -> Node:
     """Two affine layers, each followed by the leaky rectifier."""
-    hidden = leaky_relu(matmul_affine(x, t.w1, t.b1), slope)
-    return leaky_relu(matmul_affine(hidden, t.w2, t.b2), slope)
+    hidden = leaky_relu(matmul_affine(x, t.w1, t.b1))
+    return leaky_relu(matmul_affine(hidden, t.w2, t.b2))
 
 
 def classify(model: ModelParams, emb: Node) -> Node:
@@ -252,16 +252,16 @@ def discriminate(model: ModelParams, emb: Node) -> Node:
     return matmul_affine(hidden, d.w2, d.b2)
 
 
-def transform_values(t: TransformerParams, x, slope: float) -> np.ndarray:
+def transform_values(t: TransformerParams, x) -> np.ndarray:
     """Value-only `transform` through stored parameters, on the same kernels."""
-    hidden = leaky_relu_values(affine_values(x, t.w1, t.b1), slope)
-    return leaky_relu_values(affine_values(hidden, t.w2, t.b2), slope)
+    hidden = leaky_relu_values(affine_values(x, t.w1, t.b1))
+    return leaky_relu_values(affine_values(hidden, t.w2, t.b2))
 
 
-def classifier_logits(params: ModelParams, t: TransformerParams, x, slope: float) -> np.ndarray:
+def classifier_logits(params: ModelParams, t: TransformerParams, x) -> np.ndarray:
     """Value-only logits for samples of the domain owning transformer `t`."""
     c = params.classifier
-    return affine_values(transform_values(t, x, slope), c.w, c.b)
+    return affine_values(transform_values(t, x), c.w, c.b)
 
 
 # -- embedding a task -----------------------------------------------------------
@@ -274,13 +274,12 @@ class TaskEmbeddings:
     target_unlabeled: Node
 
 
-def embed_task(model: ModelParams, tape: Tape, task: MultiSourceTask,
-               slope: float) -> TaskEmbeddings:
+def embed_task(model: ModelParams, tape: Tape, task: MultiSourceTask) -> TaskEmbeddings:
     """Every domain of `task` through its transformer: sources in order,
     then the labeled and the unlabeled target."""
     pairs = [*zip(model.sources, task.sources),
              (model.target, task.target_labeled), (model.target, task.target_unlabeled)]
-    *sources, labeled, unlabeled = [transform(t, tape.constant(d.features), slope) for t, d in pairs]
+    *sources, labeled, unlabeled = [transform(t, tape.constant(d.features)) for t, d in pairs]
     return TaskEmbeddings(sources, labeled, unlabeled)
 
 
@@ -490,7 +489,6 @@ def embedding_pass(
     task: MultiSourceTask,
     *,
     weighting: str = "conditional",
-    slope: float = 0.01,
     soft: np.ndarray | None = None,
 ) -> EmbeddingPass:
     """Embed every domain of `task` once and build the weighting on the
@@ -512,7 +510,7 @@ def embedding_pass(
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     tape = Tape()
     model = lift_fg(tape, params, trainable=True)
-    emb = embed_task(model, tape, task, slope)
+    emb = embed_task(model, tape, task)
     soft_logits = None
     if soft is None:
         soft_logits = classify(model, emb.target_unlabeled)

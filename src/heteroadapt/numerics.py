@@ -344,9 +344,6 @@ def affine_values(x, w, b) -> Array:
 # -- the helper thread (see "Parallelism") -----------------------------------------
 
 _SPLIT_ROWS, _SPLIT_COLS, _SPLIT_SIZE = 128, 64, 1 << 15  # the smallest split product, parameter
-# The child that `cli` starts to parse domain files takes about 95 ms to start
-# on a 2-vCPU host (interpreter, numpy, this package): the time to parse 9.3 MB.
-_CHILD_START_BYTES = 9_300_000
 # A product is split only while OpenBLAS runs one thread (the variable it reads
 # first decides); with more, its own threads share the cores already, and
 # two halves at once ran desk-width training 14% slower.
@@ -407,41 +404,35 @@ def relu(x: Node) -> Node:
     return x.tape.append("relu", np.maximum(xv, 0.0), (x.index,), (lambda g: g * mask,))
 
 
-def leaky_relu(x: Node, slope: float = 0.01) -> Node:
-    """Elementwise max(x, slope * x).
+LEAKY_SLOPE = 0.01  # the negative-side slope of the transformers' leaky rectifier
 
-    The vjp is `g * where(x >= slope * x, 1, slope)`. The forward reads
-    that mask as `out == x`, which holds exactly where `x >= slope * x`,
-    and the vjp keeps only the boolean mask, not `x`. It builds the factor
-    arithmetically: `max(mask, slope)` for slope <= 1,
-    `fmax(~mask * slope, 1)` above 1 (`fmax` turns `0 * inf` into 1).
-    Both equal the `where` factor bit for bit, without its per-element
-    branch.
+
+def leaky_relu(x: Node) -> Node:
+    """Elementwise max(x, LEAKY_SLOPE * x).
+
+    The vjp is `g * where(x >= LEAKY_SLOPE * x, 1, LEAKY_SLOPE)`. The
+    forward reads that mask as `out == x`, which holds exactly where
+    `x >= LEAKY_SLOPE * x`, and the vjp keeps only the boolean mask, not
+    `x`. It builds the factor as `max(mask, LEAKY_SLOPE)`, which equals the
+    `where` factor bit for bit for a slope in [0, 1], without its
+    per-element branch.
     """
-    slope = float(slope)
     xv = x.value
-    out = leaky_relu_values(xv, slope)
+    out = leaky_relu_values(xv)
     keep = out == xv
 
     def vjp(g):
-        if slope > 1.0:
-            factor = np.multiply(~keep, slope, dtype=np.float64)
-            np.fmax(factor, 1.0, out=factor)
-        else:
-            factor = np.maximum(keep, slope, dtype=np.float64)
+        factor = np.maximum(keep, LEAKY_SLOPE, dtype=np.float64)
         factor *= g
         return factor
 
     return x.tape.append("leaky_relu", out, (x.index,), (vjp,))
 
 
-def leaky_relu_values(x, slope: float = 0.01) -> Array:
-    """`leaky_relu` on raw arrays or Tensors: a new array `max(x, slope * x)`."""
-    slope = float(slope)
-    if slope < 0:
-        raise ValueError(f"leaky_relu slope must be >= 0, got {slope}")
+def leaky_relu_values(x) -> Array:
+    """`leaky_relu` on raw arrays or Tensors: a new array `max(x, LEAKY_SLOPE * x)`."""
     x = _as_array(x)
-    out = np.multiply(slope, x, out=np.empty_like(x))
+    out = np.multiply(LEAKY_SLOPE, x, out=np.empty_like(x))
     np.maximum(x, out, out=out)
     return out
 

@@ -80,7 +80,6 @@ class TrainConfig:
     seed: int = 0
     lg_norm: str = "l1"
     weighting: str = "conditional"
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         check_fields(self)
@@ -98,8 +97,6 @@ class TrainConfig:
             raise ConfigError(f"lg_norm must be one of {LG_NORMS}, got {self.lg_norm!r}")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
-        if self.leaky_slope < 0:
-            raise ConfigError("leaky_slope must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -159,13 +156,13 @@ def init_params(task: MultiSourceTask, config: TrainConfig) -> ModelParams:
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_accuracy(params: ModelParams, features, labels, slope: float = 0.01) -> float:
+def evaluate_accuracy(params: ModelParams, features, labels) -> float:
     """Share of target rows whose argmax class (ties to the lowest index)
     is the row's label; `labels` holds one class per row of `features`."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ConfigError("evaluation set is empty")
-    logits = classifier_logits(params, params.target, features, slope)
+    logits = classifier_logits(params, params.target, features)
     if labels.shape != logits.shape[:1]:
         raise ShapeError(f"evaluation labels have shape {labels.shape}, expected ({len(logits)},)")
     return _hit_rate(logits, labels)
@@ -190,7 +187,7 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     transformer/classifier backward, and the tape is dropped before the
     Adam step that follows it.
     """
-    fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
+    fwd = embedding_pass(params, task, weighting=config.weighting)
     deltas = tuple(float(d.value) for d in fwd.deltas)
     _check_finite((f"delta_{k + 1}", d) for k, d in enumerate(deltas))
     weights = tuple(float(w.value) if isinstance(w, Node) else w for w in fwd.weights)
@@ -282,9 +279,7 @@ def train(task: MultiSourceTask, config: TrainConfig,
     pending = None  # the previous step's record fields, awaiting its accuracy
 
     def evaluated() -> float:
-        return evaluate_accuracy(
-            params, task.target_unlabeled.features, task.eval_labels, config.leaky_slope
-        )
+        return evaluate_accuracy(params, task.target_unlabeled.features, task.eval_labels)
 
     for it in range(config.iterations):
         try:  # a step checks every value it hands on, so numpy need not warn

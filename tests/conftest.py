@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import heteroadapt.cli as cli
 import heteroadapt.numerics as numerics
 import heteroadapt.training as training
 from heteroadapt.data import DomainData, MultiSourceTask
@@ -90,15 +91,15 @@ def frozen_model(tape, params):
     return lift_discriminator(tape, model, params.discriminator, trainable=False)
 
 
-def target_soft(params, features, slope=0.01):
+def target_soft(params, features):
     """Soft labels of target samples, as `embedding_pass` derives them."""
-    return softmax_values(classifier_logits(params, params.target, features, slope))
+    return softmax_values(classifier_logits(params, params.target, features))
 
 
-def frozen_embeddings(params, task, slope=0.01):
+def frozen_embeddings(params, task):
     """Every domain of `task` embedded on a tape of constants."""
     tape = Tape()
-    return embed_task(frozen_model(tape, params), tape, task, slope)
+    return embed_task(frozen_model(tape, params), tape, task)
 
 
 def make_task(source_x, source_y, labeled_x, labeled_y, unlabeled_x, num_classes):
@@ -168,7 +169,7 @@ def parse_in_child(monkeypatch) -> list:
         started.append(real(*args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(numerics, "_CHILD_START_BYTES", 0)
+    monkeypatch.setattr(cli, "_CHILD_START_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(subprocess, "Popen", spy)
     return started

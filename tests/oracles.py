@@ -221,7 +221,6 @@ def three_forward_train(task, config):
         init_params,
     )
 
-    slope = config.leaky_slope
     conditional = config.weighting == "conditional"
     params = init_params(task, config)
     opt_fg = Adam(fg_parameters(params), config.lr_fg)
@@ -232,7 +231,7 @@ def three_forward_train(task, config):
         tape = Tape()
         model = lift_fg(tape, params, trainable=False)
         model = lift_discriminator(tape, model, params.discriminator, trainable=False)
-        emb = embed_task(model, tape, task, slope)
+        emb = embed_task(model, tape, task)
         soft = softmax_values(classify(model, emb.target_unlabeled).value)
         delta_nodes = divergence_nodes(emb, task, soft)
         deltas = np.array([float(d.value) for d in delta_nodes])
@@ -249,7 +248,7 @@ def three_forward_train(task, config):
         tape = Tape()
         model = lift_fg(tape, params, trainable=True)
         model = lift_discriminator(tape, model, params.discriminator, trainable=False)
-        emb = embed_task(model, tape, task, slope)
+        emb = embed_task(model, tape, task)
         live = [1.0] * task.num_sources
         if conditional and task.num_sources >= 2:
             live = source_weight_nodes(divergence_nodes(emb, task, soft))
@@ -265,9 +264,7 @@ def three_forward_train(task, config):
         params = replace_fg(params, opt_fg.step(fg_parameters(params), grads))
 
         # forward 3: evaluation of the updated parameters
-        target_acc = evaluate_accuracy(
-            params, task.target_unlabeled.features, task.eval_labels, slope
-        )
+        target_acc = evaluate_accuracy(params, task.target_unlabeled.features, task.eval_labels)
         records.append(IterationRecord(
             it, float(cls.value), 0.0 if cons is None else float(cons.value),
             float(inv.value), loss_d,
@@ -311,7 +308,7 @@ def plain_supervised_train(
 
     if params.tied_second:
         raise ConfigError("the plain trainer does not support tied second layers")
-    slope, tau = config.leaky_slope, config.tau
+    slope, tau = 0.01, config.tau  # the rectifier's slope, restated apart from `numerics`
     domains = [(d.features.array, _one_hot(d.labels, task.num_classes))
                for d in (*task.sources, task.target_labeled)]
     # fg_parameters order: w1, b1, w2, b2 per domain (sources, then the

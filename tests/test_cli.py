@@ -89,14 +89,13 @@ class TestParsing:
         # so a flag stored under the wrong field cannot go unnoticed
         flags = ["--beta", "0.5", "--tau", "0.25", "--dc", "7", "--hidden", "9",
                  "--lr-fg", "0.125", "--lr-d", "0.0625", "--iters", "11",
-                 "--seed", "13", "--lg", "l2", "--weighting", "ones",
-                 "--leaky-slope", "0.2"]
+                 "--seed", "13", "--lg", "l2", "--weighting", "ones"]
         head = (["train", "--source", "s.txt", "--target", "t.txt"] if command == "train"
                 else ["experiment", "ablate"])
         args = build_parser().parse_args([*head, *flags, "--out", "o"])
         assert _config_from_args(args) == TrainConfig(
             beta=0.5, tau=0.25, d_c=7, hidden=9, lr_fg=0.125, lr_d=0.0625,
-            iterations=11, seed=13, lg_norm="l2", weighting="ones", leaky_slope=0.2,
+            iterations=11, seed=13, lg_norm="l2", weighting="ones",
         )
 
     @pytest.mark.parametrize("command", ["synth", "experiment"])
@@ -158,6 +157,17 @@ class TestSynth:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "sha256.target_d16.txt" in manifest
         assert "version = " in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--dims", "12,target=16", "--seed", "-1"],
+    ["experiment", "ablate", "--task-seed", "-1"],
+    ["experiment", "sweep", "--seeds", "-1"],
+], ids=["synth", "ablate", "sweep"])
+def test_negative_synthetic_seed_rejected_by_name(tmp_path, capsys, argv):
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "run")], capsys)
+    assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+    assert not (tmp_path / "run").exists()
 
 
 class TestTrain:
@@ -235,7 +245,6 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "nan"), ("--tau", "nan"), ("--lr-fg", "nan"), ("--lr-d", "inf"),
-        ("--leaky-slope", "nan"),
     ])
     def test_non_finite_hyperparameter_rejected_before_writing(self, tmp_path, capsys,
                                                                flag, value):
@@ -708,8 +717,8 @@ def test_stdin_parent_parses_in_a_child_without_a_traceback(tmp_path, capsys, mo
         "--dc", "8", "--hidden", "8", "--iters", "3"]
     script = (
         "import os, subprocess, sys\n"
-        "from heteroadapt import cli, numerics\n"
-        "numerics._CHILD_START_BYTES = 0\n"
+        "from heteroadapt import cli\n"
+        "cli._CHILD_START_BYTES = 0\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "real, started = subprocess.Popen, []\n"
         "subprocess.Popen = lambda *a, **k: started.append(real(*a, **k)) or started[-1]\n"

@@ -109,6 +109,33 @@ class TestTaskAssembly:
         with pytest.raises(ConfigError, match="must not carry labels"):
             MultiSourceTask(task.sources, task.target_labeled, unsealed, task.eval_labels)
 
+    @pytest.mark.parametrize("field", ["labels", "eval_labels"])
+    @pytest.mark.parametrize("case", ["integral_float", "fraction", "nan", "inf", "boolean",
+                                      "above_range", "negative"])
+    def test_labels_follow_the_domain_file_rule(self, field, case):
+        # a domain file accepts `2.0` as a label, but no fraction, non-finite
+        # value or label outside [0, C); neither does a task built in memory
+        task = synthetic_task(small_spec())
+        good, unlabeled = task.eval_labels, task.target_unlabeled
+        first = {"integral_float": 2.0, "fraction": 0.7, "nan": np.nan, "inf": np.inf,
+                 "above_range": 3, "negative": -1}
+        labels = good == 1 if case == "boolean" else np.concatenate([[first[case]], good[1:]])
+
+        def build():
+            if field == "labels":
+                return DomainData(unlabeled.name, unlabeled.features, labels, 3)
+            return replace(task, eval_labels=labels)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's cast warning is no message
+            if case == "integral_float":
+                built = getattr(build(), field)
+                assert built.dtype == np.int64 and np.array_equal(built, [2, *good[1:]])
+                return
+            want = rf"domain '{unlabeled.name}': {field} must be integers in \[0, 3\)"
+            with pytest.raises(ConfigError, match=want):
+                build()
+
     def test_constructor_checks_what_build_checks(self):
         task = synthetic_task(small_spec())
         unlabeled_source = replace(task.sources[0], labels=None)
@@ -167,6 +194,11 @@ class TestSyntheticGeneration:
     def test_non_integer_in_int_field_rejected_by_name(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             SynthSpec(**{name: value})
+
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's own message ("expected non-negative integer") names no field
+        with pytest.raises(ConfigError, match="^seed must be non-negative$"):
+            SynthSpec(seed=-1)
 
     def test_numpy_integers_accepted(self):
         spec = SynthSpec(source_dims=(np.int64(16), 24), classes=np.int32(3))

@@ -40,3 +40,27 @@ def test_every_public_definition_is_used_by_the_package_or_benchmark():
         and not node.name.startswith("_") and node.name not in used
     ]
     assert not unused, unused
+
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A leading underscore keeps a name inside its module: a sibling that
+    reads it (as `numerics._name` or `from .numerics import _name`) shows
+    the name lives in the wrong module."""
+    package = _trees(PACKAGE)
+    modules = {path.stem for path in package}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = []
+    for path, tree in package.items():
+        siblings = modules - {path.stem}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and private(node.attr)):
+                reads.append(f"{path.stem} -> {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module in siblings:
+                reads += [f"{path.stem} -> {node.module}.{a.name}"
+                          for a in node.names if private(a.name)]
+    assert not reads, reads

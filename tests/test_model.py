@@ -58,11 +58,11 @@ class TestForward:
             Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)),
             Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
         )
-        out = transform_values(t, np.ones((4, 3)), 0.01)
+        out = transform_values(t, np.ones((4, 3)))
         np.testing.assert_array_equal(out, np.zeros((4, 2)))
 
     def test_transform_identity_passthrough(self):
-        out = transform_values(identity_transformer(), [[2.0]], 0.01)
+        out = transform_values(identity_transformer(), [[2.0]])
         np.testing.assert_array_equal(out, [[2.0]])
 
     def test_transform_matches_hand_composition(self):
@@ -72,43 +72,42 @@ class TestForward:
         w2 = rng.uniform(-1, 1, (2, 2))
         b2 = rng.uniform(-1, 1, 2)
         x = rng.uniform(-1, 1, (3, 4))
-        slope = 0.2
+        slope = 0.01
 
         def lrelu(a):
             return np.where(a >= slope * a, a, slope * a)
 
         expected = lrelu(lrelu(x @ w1 + b1) @ w2 + b2)
         t = TransformerParams(Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
-        np.testing.assert_allclose(transform_values(t, x, slope), expected, atol=1e-15)
+        np.testing.assert_allclose(transform_values(t, x), expected, atol=1e-15)
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.5])
-    def test_value_forward_bit_equals_tape_forward(self, slope, tied):
+    def test_value_forward_bit_equals_tape_forward(self, tied):
         rng = np.random.default_rng(21)
         params = make_params(rng, (3, 5), 4, tied=tied)
         task = make_toy_task(rng)
         tape = Tape()
         model = frozen_model(tape, params)
-        emb = embed_task(model, tape, task, slope)
+        emb = embed_task(model, tape, task)
         pairs = [*zip(params.sources, task.sources, emb.sources),
                  (params.target, task.target_labeled, emb.target_labeled),
                  (params.target, task.target_unlabeled, emb.target_unlabeled)]
         for t, domain, node in pairs:
-            values = transform_values(t, domain.features, slope)
+            values = transform_values(t, domain.features)
             assert values.shape == node.shape and values.tobytes() == node.value.tobytes()
-            logits = classifier_logits(params, t, domain.features, slope)
+            logits = classifier_logits(params, t, domain.features)
             want = classify(model, node).value
             assert logits.shape == want.shape and logits.tobytes() == want.tobytes()
 
         # a width mismatch raises the tape's ShapeError, message and all
         x = np.ones((2, 3))  # the target expects 4 features
         with pytest.raises(ShapeError) as on_tape:
-            transform(model.target, tape.constant(x), slope)
+            transform(model.target, tape.constant(x))
         assert str(on_tape.value) == (
             "matmul_affine dimensions disagree: x (2, 3), w (4, 4), b (4,)"
         )
-        for value_forward in (lambda: transform_values(params.target, x, slope),
-                              lambda: classifier_logits(params, params.target, x, slope)):
+        for value_forward in (lambda: transform_values(params.target, x),
+                              lambda: classifier_logits(params, params.target, x)):
             with pytest.raises(ShapeError) as by_value:
                 value_forward()
             assert str(by_value.value) == str(on_tape.value)
@@ -484,7 +483,7 @@ class TestDomainLoss:
         )
         tape = Tape()
         model = frozen_model(tape, params)
-        emb = embed_task(model, tape, task, 0.01)
+        emb = embed_task(model, tape, task)
         return model, emb
 
     def test_perfect_discriminator_gives_zero(self):
@@ -513,7 +512,7 @@ class TestClassificationLoss:
         params, task = toy_setup
         tape = Tape()
         model = frozen_model(tape, params)
-        emb = embed_task(model, tape, task, 0.01)
+        emb = embed_task(model, tape, task)
         from heteroadapt.numerics import softmax_cross_entropy
 
         ce = [
@@ -529,7 +528,7 @@ class TestClassificationLoss:
         params, task = toy_setup
         tape = Tape()
         model = frozen_model(tape, params)
-        emb = embed_task(model, tape, task, 0.01)
+        emb = embed_task(model, tape, task)
         tau = 0.01
         base = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
         with_reg = float(classification_loss(model, emb, task, [1.0, 1.0], tau=tau).value)
@@ -544,7 +543,7 @@ class TestClassificationLoss:
         task = make_toy_task(np.random.default_rng(13))
         tape = Tape()
         model = frozen_model(tape, params)
-        emb = embed_task(model, tape, task, 0.01)
+        emb = embed_task(model, tape, task)
         tau = 1.0
         base = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)
         with_reg = float(classification_loss(model, emb, task, [1.0, 1.0], tau=tau).value)
@@ -620,7 +619,7 @@ class TestObjectives:
         params, task = toy_setup
         tape = Tape()
         model = frozen_model(tape, params)
-        emb = embed_task(model, tape, task, 0.01)
+        emb = embed_task(model, tape, task)
         from heteroadapt.numerics import softmax_cross_entropy, squared_error
 
         weighted = float(classification_loss(model, emb, task, [1.0, 1.0], tau=0.0).value)

@@ -105,13 +105,8 @@ class TestForwardOps:
     def test_leaky_relu_cases(self):
         tape = Tape()
         x = tape.constant([[2.0, -1.0, 0.0]])
-        out = leaky_relu(x, 0.01)
+        out = leaky_relu(x)
         np.testing.assert_array_equal(out.value, [[2.0, -0.01, 0.0]])
-
-    def test_leaky_relu_rejects_negative_slope(self):
-        tape = Tape()
-        with pytest.raises(ValueError):
-            leaky_relu(tape.constant([1.0]), -0.5)
 
     def test_relu_cases(self):
         tape = Tape()
@@ -301,7 +296,7 @@ class TestBackward:
         def loss_fn(params):
             tape = Tape()
             w1, b1, w2, b2 = (tape.param(p) for p in params)
-            hidden = leaky_relu(matmul_affine(tape.constant(x), w1, b1), 0.01)
+            hidden = leaky_relu(matmul_affine(tape.constant(x), w1, b1))
             logits = matmul_affine(hidden, w2, b2)
             return softmax_cross_entropy(logits, y)
 
@@ -317,7 +312,7 @@ class TestBackward:
 
         cases = {
             "relu": lambda t, p: sum_sq(relu(p)),
-            "leaky": lambda t, p: sum_sq(leaky_relu(p, 0.3)),
+            "leaky": lambda t, p: sum_sq(leaky_relu(p)),
             "sigmoid": lambda t, p: sum_sq(sigmoid(p)),
             "sum_abs": lambda t, p: sum_abs(p),
             "weighted_row_sum": lambda t, p: sum_sq(weighted_row_sum(p, weights)),
@@ -398,7 +393,7 @@ class TestGradientOwnership:
         init = [Tensor(rng.uniform(-1, 1, shape)) for shape in [(3, 2), (2,), (4, 2), (4, 2)]]
         tape = Tape()
         w, b, p1, p2 = (tape.param(t) for t in init)
-        h = leaky_relu(matmul_affine(tape.constant(x), w, b), 0.1)
+        h = leaky_relu(matmul_affine(tape.constant(x), w, b))
         loss = sum_sq(h * add(p1, p2)) + sum_sq(w) + sum_abs(b)
         grads = tape.backward(loss)
         for g in grads:
@@ -418,8 +413,8 @@ class TestGradientOwnership:
 class TestLeakyReluExactness:
     """Value and vjp equal the `np.where` reference formulas bit for bit."""
 
-    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 1.5])
-    def test_value_and_vjp_match_where_reference(self, slope):
+    def test_value_and_vjp_match_where_reference(self):
+        slope = numerics.LEAKY_SLOPE
         rng = np.random.default_rng(4)
         x0 = rng.uniform(-2, 2, (6, 7))
         x0[0, :3] = 0.0
@@ -429,10 +424,10 @@ class TestLeakyReluExactness:
         keep = x0 >= sv
         out_ref = np.where(keep, x0, sv)
         c[0, 0] = -out_ref[0, 0]          # upstream gradient 2 * (out + c) is +0.0
-        c[1, 0] = -0.0                    # and -0.0 (for slope > 0) here
+        c[1, 0] = -0.0                    # and -0.0 here
         tape = Tape()
         p = tape.param(Tensor(x0))
-        out = leaky_relu(p, slope)
+        out = leaky_relu(p)
         (grad,) = tape.backward(sum_sq(add(out, tape.constant(c))))
         g = 2.0 * (out_ref + c)
         np.testing.assert_array_equal(bits(out.value), bits(out_ref))
@@ -694,7 +689,7 @@ def test_forward_determinism():
 
     def run():
         tape = Tape()
-        out = leaky_relu(matmul_affine(tape.constant(x), tape.constant(w), tape.constant(b)), 0.01)
+        out = leaky_relu(matmul_affine(tape.constant(x), tape.constant(w), tape.constant(b)))
         return sum_sq(out).value.copy()
 
     assert np.array_equal(run(), run())

@@ -73,11 +73,11 @@ def test_matmul_affine(n, a, b, seed):
     assert check(lambda t, x, w, bias: sum_sq(matmul_affine(x, w, bias)), arrays) < TOL
 
 
-@given(n=dims, d=dims, seed=seeds, slope=st.sampled_from([0.0, 0.01, 0.3, 1.0, 1.5]))
-def test_activations(n, d, seed, slope):
+@given(n=dims, d=dims, seed=seeds)
+def test_activations(n, d, seed):
     x = entries(np.random.default_rng(seed), (n, d))
     assert check(lambda t, a: sum_sq(relu(a)), [x]) < TOL
-    assert check(lambda t, a: sum_sq(leaky_relu(a, slope)), [x]) < TOL
+    assert check(lambda t, a: sum_sq(leaky_relu(a)), [x]) < TOL
     assert check(lambda t, a: sum_sq(sigmoid(a)), [x]) < TOL
 
 

@@ -75,7 +75,7 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
-    @pytest.mark.parametrize("name", ["beta", "tau", "lr_fg", "lr_d", "leaky_slope"])
+    @pytest.mark.parametrize("name", ["beta", "tau", "lr_fg", "lr_d"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected_by_name(self, name, value):
         # nan compares false against every bound, so without its own check
@@ -231,14 +231,14 @@ class TestTrainStep:
             params, Adam(fg_parameters(params), config.lr_fg),
             Adam(d_parameters(params), config.lr_d), task, config,
         )
-        fwd = embedding_pass(params, task, weighting=config.weighting, slope=config.leaky_slope)
+        fwd = embedding_pass(params, task, weighting=config.weighting)
         tape_deltas = np.array([float(d.value) for d in fwd.deltas])
         tape_weights = np.array([float(w.value) for w in fwd.weights])
         assert np.array_equal(np.array(deltas), tape_deltas)
         assert np.array_equal(np.array(weights), tape_weights)
         np.testing.assert_array_equal(
             softmax_values(fwd.soft_logits.value),
-            target_soft(params, task.target_unlabeled.features, config.leaky_slope),
+            target_soft(params, task.target_unlabeled.features),
         )
 
     def test_one_transformer_forward_per_domain_per_step(self, monkeypatch):
@@ -383,8 +383,7 @@ class TestTrain:
             got = trace.records[i].target_accuracy
             assert got == prefix.final_accuracy
             assert got == evaluate_accuracy(
-                prefix.final_params, task.target_unlabeled.features, task.eval_labels,
-                config.leaky_slope,
+                prefix.final_params, task.target_unlabeled.features, task.eval_labels
             )
 
     def test_requires_sources(self):
@@ -447,7 +446,7 @@ class TestEvaluate:
         # argmax, so evaluation predicts exactly the transformed argmax
         from heteroadapt.model import classifier_logits
 
-        logits = classifier_logits(params, params.target, x, 0.01)
+        logits = classifier_logits(params, params.target, x)
         transformed = np.argmax(3.0 * logits + 7.0, axis=1)
         assert evaluate_accuracy(params, x, transformed) == 1.0
 
