@@ -104,6 +104,8 @@ def parse_seeds(text: str) -> tuple[int, ...]:
         seeds = tuple(_int_entry(p, "--seeds") for p in text.split(",") if p.strip())
     if not seeds:
         raise ConfigError(f"--seeds needs at least one seed, got {text!r}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds entries must be non-negative, got {min(seeds)}")
     return seeds
 
 
@@ -241,15 +243,12 @@ def _load_domain_files(paths):
     """Yield each file's `(DomainData, sha256)` in order, raising the first
     failing file's error in its place, as a serial loop would.
 
-    With two usable cores, one child parses and hashes the next largest
-    files, largest first, while its bytes plus `_CHILD_START_BYTES`
-    stay within the bytes left here; those of a child that dies are parsed
-    here. The largest file stays here: freeing its bytes raises glibc's
-    mmap and trim thresholds as the serial loop did, and with that file in
-    the child, repeated paper-scale runs trained 4% slower.
+    With two usable cores, one child parses and hashes the largest files,
+    largest first, while its bytes plus `_CHILD_START_BYTES` stay within
+    the bytes left here; those of a child that dies are parsed here.
     """
     sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in paths]
-    order = sorted(range(len(paths)), key=sizes.__getitem__, reverse=True)[1:]
+    order = sorted(range(len(paths)), key=sizes.__getitem__, reverse=True)
     taken = 2 * np.cumsum([sizes[i] for i in order]) + _CHILD_START_BYTES <= sum(sizes)
     share, child = sorted(i for i, fits in zip(order, taken) if fits), None
     if share and len(os.sched_getaffinity(0)) > 1:

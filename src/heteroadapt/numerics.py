@@ -4,7 +4,7 @@ Conventions: data matrices are (n, d) with samples in rows; vectors are
 rank 1. Tape nodes hold raw ndarrays (scalars are 0-d); the `Tensor`
 wrapper is the validated value type used for parameters and datasets.
 
-Five rules keep the hot paths lean without changing a result:
+Six rules keep the hot paths lean without changing a result:
 
 - Ownership. An array is written in place only by the code that
   allocated it: `Adam` its `m` and `v`, `Tape.backward` a gradient sum it
@@ -27,22 +27,34 @@ Five rules keep the hot paths lean without changing a result:
   and a vjp captures only what it reads: `leaky_relu` and `relu` keep a
   boolean mask, not their input. So an intermediate lives only while its
   node or a vjp that reads it does; a pre-activation is freed as soon as
-  its node is dropped.
+  its node is dropped. `backward` drops each node's vjps as soon as the
+  sweep passes the node, so what they captured is freed during the sweep
+  and the next allocations reuse its blocks; a tape is therefore
+  differentiated once.
+- Memory. At import, glibc's mmap threshold is fixed at 32 MiB (the
+  ceiling of its own dynamic threshold) and its trim threshold at 64 MiB.
+  By default both thresholds move with the largest block freed so far, so
+  whether a step's freed arrays went back to the kernel, to be faulted in
+  again by the next step, depended on what the process had allocated
+  before; fixed, every step reuses the heap the last one freed. A C
+  library without `mallopt` keeps its defaults.
 - Parallelism. A private helper thread computes half of each large
   kernel, under the caller's numpy error settings. A product of at least
-  128 rows and 64 columns (`affine_values`, both matrix vjps of
-  `matmul_affine`) is split by rows of its output, never along the
-  contraction, so each entry keeps its k-loop and equals one `a @ b` bit
-  for bit (narrower products do not always); it is split only while
-  OpenBLAS runs one thread. Adam updates a parameter of at least 2**15
-  entries as two flat halves in the same op order. A thread other than
-  the main one, or any with one usable core, runs the whole kernel, which
-  gives the same bits, so traces depend on neither the core count nor
-  `--jobs`.
+  128 rows, 64 columns and a contraction of 64 (`affine_values`, both
+  matrix vjps of `matmul_affine`) is split by rows of its output, never
+  along the contraction, so each entry keeps its k-loop and equals one
+  `a @ b` bit for bit (narrower products do not always); a thinner one
+  ran slower split, since the helper idles between calls. A product is
+  split only while OpenBLAS runs one thread. Adam updates a parameter of
+  at least 2**15 entries as two flat halves in the same op order. A
+  thread other than the main one, or any with one usable core, runs the
+  whole kernel, which gives the same bits, so traces depend on neither
+  the core count nor `--jobs`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +65,20 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 Array = np.ndarray
+
+
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds (see "Memory"); a no-op where
+    the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_fix_malloc_thresholds()
 
 
 class Tensor:
@@ -169,9 +195,10 @@ class Tape:
     def __init__(self):
         self._ops: list[str] = []
         self._parents: list[tuple[int, ...]] = []
-        self._vjps: list[tuple[Callable[[Array], Array] | None, ...]] = []
+        self._vjps: list[tuple[Callable[[Array], Array] | None, ...] | None] = []
         self._needs_grad: list[bool] = []
         self._params: list[tuple[int, Array]] = []  # (index, value): a Node would make a cycle
+        self._differentiated = False
 
     # -- construction ----------------------------------------------------
 
@@ -220,23 +247,29 @@ class Tape:
         in place by later ones. Contributions are summed in reverse tape
         order, as `0 + c1 + c2 + ...` was, so gradients are bit-equal to
         that sum up to the sign of an exact zero. A node's gradient is
-        dropped once it has been propagated, unless the node is a parameter.
+        dropped once it has been propagated, unless the node is a parameter,
+        and its vjps as the sweep passes it, reached or not; so a tape is
+        differentiated once, and a second call raises `ValueError`.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss node, got shape {loss.shape}")
+        if self._differentiated:
+            raise ValueError("tape was already differentiated; its vjps are freed")
+        self._differentiated = True
         retained = {idx for idx, _ in self._params}
         owned: set[int] = set()
         grads: list[Array | None] = [None] * len(self._ops)
         grads[loss.index] = np.ones((), dtype=np.float64)
         for i in range(loss.index, -1, -1):
+            vjps, self._vjps[i] = self._vjps[i], None
             g = grads[i]
             if g is None:
                 continue
             if i not in retained:
                 grads[i] = None
-            for parent, vjp in zip(self._parents[i], self._vjps[i]):
+            for parent, vjp in zip(self._parents[i], vjps):
                 if vjp is None or not self._needs_grad[parent]:
                     continue
                 contribution = vjp(g)
@@ -343,7 +376,8 @@ def affine_values(x, w, b) -> Array:
 
 # -- the helper thread (see "Parallelism") -----------------------------------------
 
-_SPLIT_ROWS, _SPLIT_COLS, _SPLIT_SIZE = 128, 64, 1 << 15  # the smallest split product, parameter
+_SPLIT_ROWS, _SPLIT_COLS, _SPLIT_DEPTH = 128, 64, 64  # the smallest split product
+_SPLIT_SIZE = 1 << 15  # the smallest split parameter
 # A product is split only while OpenBLAS runs one thread (the variable it reads
 # first decides); with more, its own threads share the cores already, and
 # two halves at once ran desk-width training 14% slower.
@@ -388,8 +422,9 @@ def _on_helper(kernel, args: list, err: dict) -> None:
 
 def _matmul(a: Array, b: Array) -> Array:
     """A new array `a @ b`, two row halves of it at once when it is large."""
-    rows, cols = a.shape[0], b.shape[1]
-    pool = _helper() if rows >= _SPLIT_ROWS and cols >= _SPLIT_COLS and _SERIAL_BLAS else None
+    (rows, depth), cols = a.shape, b.shape[1]
+    large = rows >= _SPLIT_ROWS and cols >= _SPLIT_COLS and depth >= _SPLIT_DEPTH
+    pool = _helper() if large and _SERIAL_BLAS else None
     if pool is None:
         return a @ b
     out = np.empty((rows, cols))

@@ -12,6 +12,7 @@ import pytest
 from conftest import overflow_gradient_at_third_step
 
 import heteroadapt.cli as cli
+import heteroadapt.experiments as experiments
 from heteroadapt.cli import (
     _config_from_args,
     _experiment_task,
@@ -159,15 +160,26 @@ class TestSynth:
         assert "version = " in manifest
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--dims", "12,target=16", "--seed", "-1"],
-    ["experiment", "ablate", "--task-seed", "-1"],
-    ["experiment", "sweep", "--seeds", "-1"],
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--dims", "12,target=16", "--seed", "-1"], "seed must be non-negative"),
+    (["experiment", "ablate", "--task-seed", "-1"], "seed must be non-negative"),
+    (["experiment", "sweep", "--seeds", "-1"], "--seeds entries must be non-negative, got -1"),
 ], ids=["synth", "ablate", "sweep"])
-def test_negative_synthetic_seed_rejected_by_name(tmp_path, capsys, argv):
+def test_negative_synthetic_seed_rejected_by_name(tmp_path, capsys, argv, message):
     code, out, err = run_cli([*argv, "--out", str(tmp_path / "run")], capsys)
-    assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mode", ["ablate", "sweep"])
+def test_negative_seed_in_a_list_fails_before_any_training(tmp_path, capsys, monkeypatch, mode):
+    trained = []
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+    argv = ["experiment", mode, "--seeds", "0,-1", "--iters", "300", "--dc", "8",
+            "--hidden", "8", "--out", str(tmp_path / "run")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", "error: --seeds entries must be non-negative, got -1\n")
+    assert not trained and not (tmp_path / "run").exists()
 
 
 class TestTrain:
@@ -291,8 +303,8 @@ class TestTrain:
 
     @pytest.mark.usefixtures("split_products")
     def test_overflow_in_split_products_raises_no_numpy_warning(self, tmp_path, capsys):
-        # 150 source rows at width 64 split every product across the helper thread,
-        # which must keep the caller's numpy error settings
+        # 150 source rows at width 64 split every product past the first layer
+        # across the helper thread, which must keep the caller's numpy error settings
         data = tmp_path / "data"
         code, _, err = run_cli(["synth", "--dims", "12,14,target=16", "--per-class", "50",
                                 "--target-unlabeled", "200", "--out", str(data)], capsys)
@@ -611,8 +623,8 @@ class TestTwoCoreLoading:
         assert not parse_in_child and here == [[str(f) for f in files]]
         here.clear()
         two_core = load_task_or_error(argv)
-        assert shares(parse_in_child) == [["s1.txt"]]  # the largest file, t, stays here
-        assert here == [[str(files[0]), str(files[2])]]  # the child's file was not parsed here
+        assert shares(parse_in_child) == [["t.txt"]]  # the largest file
+        assert here == [[str(files[0]), str(files[1])]]  # the child's file was not parsed here
         assert task_bytes(two_core) == task_bytes(serial)
 
     @pytest.mark.parametrize("command", [("train",), ("experiment", "ablate")])
@@ -636,14 +648,14 @@ class TestTwoCoreLoading:
         assert len(outputs["child"][0]) == 6 and outputs["child"] == outputs["serial"]
 
     @pytest.mark.parametrize("dims, faults, share, fails", [
-        ((12, 8, 10), {2: ("bad", 5)}, ["t.txt"], ParseError),
-        ((12, 8, 10), {0: ("bad", 7)}, ["t.txt"], ParseError),
-        ((12, 8, 10), {0: ("unlabeled",), 2: ("bad", 4)}, ["t.txt"], ConfigError),
-        ((10, 8, 12), {0: ("bad", 9), 2: ("bad", 3)}, ["s0.txt"], ParseError),
-        ((10, 8, 12), {0: ("unlabeled",), 1: ("bad", 6)}, ["s0.txt"], ConfigError),
-        ((10, 8, 12), {1: ("bad", 3)}, ["s0.txt"], ParseError),
-        ((12, 8, 10), {2: ("binary",)}, ["t.txt"], UnicodeDecodeError),
-        ((8, 12, 8, 10), {0: ("missing",)}, ["t.txt"], FileNotFoundError),
+        ((10, 8, 12), {2: ("bad", 5)}, ["t.txt"], ParseError),
+        ((10, 8, 12), {0: ("bad", 7)}, ["t.txt"], ParseError),
+        ((10, 8, 12), {0: ("unlabeled",), 2: ("bad", 4)}, ["t.txt"], ConfigError),
+        ((12, 8, 10), {0: ("bad", 9), 2: ("bad", 3)}, ["s0.txt"], ParseError),
+        ((12, 8, 10), {0: ("unlabeled",), 1: ("bad", 6)}, ["s0.txt"], ConfigError),
+        ((12, 8, 10), {1: ("bad", 3)}, ["s0.txt"], ParseError),
+        ((10, 8, 12), {2: ("binary",)}, ["t.txt"], UnicodeDecodeError),
+        ((8, 10, 8, 12), {0: ("missing",)}, ["t.txt"], FileNotFoundError),
     ], ids=["bad-in-child", "bad-here", "no-labels-here-before-bad-in-child",
             "bad-in-child-before-bad-here", "no-labels-in-child-before-bad-here",
             "bad-here-after-good-child", "undecodable-in-child", "missing-here"])
@@ -688,7 +700,7 @@ def fake_python(tmp_path, body):
 def test_no_child_outlives_loading_and_stderr_stays_clean(tmp_path, capfd, monkeypatch,
                                                          parse_in_child, child, bad):
     files = [domain_file(tmp_path / f"{name}.txt", dim, bad_line=9 if bad and name == "s1" else None)
-             for name, dim in (("s0", 8), ("s1", 10), ("t", 12))]  # the child takes s1
+             for name, dim in (("s0", 8), ("s1", 12), ("t", 10))]  # the child takes s1
     scripts = {
         "dies-at-start-up": "echo 'Traceback (most recent call last):' >&2\nexit 1",
         "dies-in-a-header": '"$REAL" "$@" > "$0.out"\nhead -c 40 "$0.out"\nexit 1',

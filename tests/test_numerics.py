@@ -459,6 +459,29 @@ class TestLifetime:
         for grad, ref in zip(grads, (gz @ w0.T, x0.T @ gz, gz.sum(axis=0))):
             np.testing.assert_array_equal(bits(grad.array), bits(ref))
 
+    def test_what_a_vjp_captured_is_freed_once_the_sweep_passes_it(self):
+        tape = Tape()
+        p = tape.param(Tensor([1.0, 2.0]))
+        y = tape.constant(np.array([3.0, 4.0]))
+        factor = weakref.ref(y.value)
+        freed = []  # whether `mul`'s factor is gone when the earlier node's vjp runs
+        early = tape.append("probe", p.value, (p.index,),
+                            (lambda g: freed.append(factor() is None) or g,))
+        loss = sum_sq(mul(early, y))
+        del y
+        assert factor() is not None  # only `mul`'s vjp holds it now
+        (grad,) = tape.backward(loss)
+        assert freed == [True]
+        np.testing.assert_array_equal(grad.array, [18.0, 64.0])
+
+    def test_a_tape_is_differentiated_once(self):
+        tape = Tape()
+        loss = sum_sq(tape.param(Tensor([3.0])))
+        (grad,) = tape.backward(loss)
+        np.testing.assert_array_equal(grad.array, [6.0])
+        with pytest.raises(ValueError, match="already differentiated"):
+            tape.backward(loss)
+
 
 # The operands of an (m, k) @ (k, n) product in the layouts `matmul_affine`
 # uses: the forward x @ w, the weight gradient x.T @ g, the input gradient g @ w.T.
@@ -489,12 +512,12 @@ class TestSplitKernels:
 
     def test_only_large_products_and_parameters_split(self, monkeypatch):
         halves = count_halves(monkeypatch)
-        for m, n in [(127, 256), (128, 63), (4, 4)]:
-            numerics._matmul(np.ones((m, 8)), np.ones((8, n)))
+        for m, k, n in [(127, 64, 256), (128, 64, 63), (128, 63, 64), (4, 4, 4)]:
+            numerics._matmul(np.ones((m, k)), np.ones((k, n)))
         small = [Tensor(np.ones(2 ** 15 - 1)), Tensor(np.ones((4, 4)))]
         Adam(small, lr=0.1).step(small, small)
         assert halves == []
-        numerics._matmul(np.ones((128, 8)), np.ones((8, 64)))
+        numerics._matmul(np.ones((128, 64)), np.ones((64, 64)))
         assert halves == [np.matmul]
         large = [Tensor(np.ones(2 ** 15))]
         Adam(large, lr=0.1).step(large, large)
@@ -530,7 +553,7 @@ class TestSplitKernels:
     def test_concurrent_callers_match_one_product(self):
         # the main thread and more threads than cores, switching as often as possible
         rng = np.random.default_rng(4)
-        pairs = [(rng.uniform(-1, 1, (300, 40)), rng.uniform(-1, 1, (40, 64))) for _ in range(6)]
+        pairs = [(rng.uniform(-1, 1, (300, 64)), rng.uniform(-1, 1, (64, 64))) for _ in range(6)]
 
         def products(a, b):
             return [numerics._matmul(a, b) for _ in range(20)]
@@ -551,7 +574,7 @@ class TestSplitKernels:
         handed = []
         real = numerics._on_helper
         monkeypatch.setattr(numerics, "_on_helper", lambda *args: handed.append(args) or real(*args))
-        a, b = np.ones((128, 8)), np.ones((8, 64))
+        a, b = np.ones((128, 64)), np.ones((64, 64))
         with ThreadPoolExecutor(1) as pool:
             pool.submit(numerics._matmul, a, b).result(timeout=60)
         assert handed == []
@@ -560,7 +583,7 @@ class TestSplitKernels:
 
     def test_forked_child_starts_its_own_helper(self):
         rng = np.random.default_rng(3)
-        x, w, b = (rng.uniform(-1, 1, s) for s in [(300, 32), (32, 64), (64,)])
+        x, w, b = (rng.uniform(-1, 1, s) for s in [(300, 64), (64, 64), (64,)])
         want = affine_values(x, w, b)  # starts the helper, given two usable cores
         assert (numerics._helper() is None) == (len(os.sched_getaffinity(0)) == 1)
         child = multiprocessing.get_context("fork").Process(

@@ -1,5 +1,7 @@
 """Initialization, the alternating loop's contracts, and evaluation."""
 
+import platform
+import resource
 import weakref
 from dataclasses import replace
 
@@ -193,6 +195,21 @@ class TestTrainStep:
         alive.clear()
         experiments.supervised_train(params, task, replace(config, iterations=3))
         assert alive == [False, False, False]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_steady_state_steps_reuse_their_memory(self):
+        # with glibc's default dynamic thresholds a desk step handed its freed
+        # arrays back to the kernel and faulted them in again, about 950 pages each
+        task, config = synthetic_task(SynthSpec()), TrainConfig()
+        params = init_params(task, config)
+        opt_fg = Adam(fg_parameters(params), config.lr_fg)
+        opt_d = Adam(d_parameters(params), config.lr_d)
+        faults = []
+        for _ in range(15):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            params, *_ = train_step(params, opt_fg, opt_d, task, config)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert sum(faults[5:]) / 10 < 80, faults
 
     def test_conditional_weights_in_range(self):
         task = tiny_task()
