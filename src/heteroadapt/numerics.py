@@ -46,7 +46,9 @@ Six rules keep the hot paths lean without changing a result:
   `a @ b` bit for bit (narrower products do not always); a thinner one
   ran slower split, since the helper idles between calls. A product is
   split only while OpenBLAS runs one thread. Adam updates a parameter of
-  at least 2**15 entries as two flat halves in the same op order. A
+  at least 2**15 entries as two flat halves in the same op order, and the
+  smaller ones together as one flat bucket on the caller, which gives each
+  entry the same ops in the same order and pays a tensor's fixed cost once. A
   thread other than the main one, or any with one usable core, runs the
   whole kernel, which gives the same bits, so traces depend on neither
   the core count nor `--jobs`.
@@ -89,6 +91,7 @@ class Tensor:
     tensors are safe to share across threads. Only `Tape.backward` and
     `Adam.step` may call `Tensor._adopt`, which validates the same way but
     keeps the array it is given; they pass arrays nothing else can write.
+    `Adam.step` also wraps read-only views of one array it checked so.
     """
 
     __slots__ = ("array",)
@@ -119,9 +122,9 @@ def _validated(arr: Array) -> Array:
     """`arr`, marked read-only, once its rank, dimensions and values pass."""
     if arr.ndim not in (1, 2):
         raise ShapeError(f"tensor rank must be 1 or 2, got shape {arr.shape}")
-    if any(dim < 1 for dim in arr.shape):
+    if 0 in arr.shape:
         raise ShapeError(f"tensor dimensions must be positive, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor values must all be finite")
     arr.setflags(write=False)
     return arr
@@ -203,13 +206,19 @@ class Tape:
     # -- construction ----------------------------------------------------
 
     def append(self, op, value, parents=(), vjps=(), needs_grad=None) -> Node:
-        value = np.asarray(value, dtype=np.float64)
+        """Record `value`, made read-only, as a new node; keeps the tuples given."""
+        if type(value) is not np.ndarray or value.dtype != np.float64:
+            value = np.asarray(value, dtype=np.float64)
         value.setflags(write=False)
         if needs_grad is None:
-            needs_grad = any(self._needs_grad[p] for p in parents)
+            needs_grad = False
+            for p in parents:
+                if self._needs_grad[p]:
+                    needs_grad = True
+                    break
         self._ops.append(op)
-        self._parents.append(tuple(parents))
-        self._vjps.append(tuple(vjps))
+        self._parents.append(parents)
+        self._vjps.append(vjps)
         self._needs_grad.append(needs_grad)
         return Node(self, len(self._ops) - 1, value)
 
@@ -569,17 +578,23 @@ class Adam:
     Update: m <- b1 m + (1-b1) g; v <- b2 v + (1-b2) g^2;
     p <- p - lr * mhat / (sqrt(vhat) + eps). A zero gradient from a fresh
     state leaves parameters bit-identical. `m` and `v` are updated in place
-    with the operation order of those formulas, and each step holds one
-    parameter-sized temporary besides the new parameter. A step checks
-    every shape before it changes any state.
+    with the operation order of those formulas. Every parameter of fewer
+    than 2**15 entries is in one bucket: its `m` and `v` are views into one
+    flat pair, and a step updates the bucket's concatenated values and
+    gradients in one pass, checks the result once and returns each such
+    parameter as a read-only view of it; a larger one is updated alone. Each
+    step holds one temporary per bucket or large parameter besides the new
+    values, and checks every shape before it changes any state.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -587,6 +602,16 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros(p.shape) for p in params]
         self.v = [np.zeros(p.shape) for p in params]
+        self._bucket: list[tuple[int, slice, tuple[int, ...]]] = []  # (index, entries, shape)
+        stop = 0
+        for i, m in enumerate(self.m):
+            if m.size < _SPLIT_SIZE:
+                self._bucket.append((i, slice(stop, stop + m.size), m.shape))
+                stop += m.size
+        self._bucket_m, self._bucket_v = np.zeros((2, stop))
+        for i, part, shape in self._bucket:
+            self.m[i] = self._bucket_m[part].reshape(shape)
+            self.v[i] = self._bucket_v[part].reshape(shape)
 
     def step(self, params: Sequence[Tensor], grads: Sequence[Tensor]) -> list[Tensor]:
         if len(params) != len(self.m) or len(grads) != len(self.m):
@@ -602,11 +627,13 @@ class Adam:
         t = self.step_count
         scales = (self.beta1, self.beta2, 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t,
                   self.lr, self.eps)
-        out = []
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        out: list = [None] * len(self.m)
+        for i, (p, g, m, v) in enumerate(zip(params, grads, self.m, self.v)):
+            if m.size < _SPLIT_SIZE:
+                continue
             new = np.empty_like(m)
             arrays = (p.array, g.array, m, v, np.empty_like(m), new)
-            pool = _helper() if m.size >= _SPLIT_SIZE else None
+            pool = _helper()
             if pool is None:
                 _adam_update(*arrays, scales)
             else:
@@ -614,7 +641,16 @@ class Adam:
                 flat = [a.reshape(-1) for a in arrays]
                 _in_halves(pool, _adam_update, [*(a[:h] for a in flat), scales],
                            [*(a[h:] for a in flat), scales])
-            out.append(Tensor._adopt(new))
+            out[i] = Tensor._adopt(new)
+        if self._bucket:
+            p = np.concatenate([params[i].array for i, _, _ in self._bucket], axis=None)
+            g = np.concatenate([grads[i].array for i, _, _ in self._bucket], axis=None)
+            new = np.empty_like(p)
+            _adam_update(p, g, self._bucket_m, self._bucket_v, np.empty_like(p), new, scales)
+            _validated(new)
+            for i, part, shape in self._bucket:
+                out[i] = Tensor.__new__(Tensor)
+                out[i].array = new[part].reshape(shape)  # read-only, as `new` is
         return out
 
 

@@ -35,8 +35,9 @@ else:
     settings.load_profile("heteroadapt")
 
 
-def pytest_report_header(config):
-    """The numeric environment that bit-identical traces depend on."""
+def pytest_terminal_summary(terminalreporter):
+    """The numeric environment that bit-identical traces depend on, printed
+    at the end of the run, which `pytest -q` keeps (it drops the header)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
@@ -44,8 +45,8 @@ def pytest_report_header(config):
         blas = "unknown"
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return (f"numerics: numpy {np.__version__}, BLAS {blas}, {threads}, "
-            f"usable cores {len(os.sched_getaffinity(0))}")
+    terminalreporter.write_line(f"numerics: numpy {np.__version__}, BLAS {blas}, {threads}, "
+                                f"usable cores {len(os.sched_getaffinity(0))}")
 
 
 def make_transformer(rng, d_in, hidden, d_c, scale=0.8):

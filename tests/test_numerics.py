@@ -225,6 +225,34 @@ class TestTapeValues:
         caller[0, 0] = 9.0
         np.testing.assert_array_equal(node.value, [[1.0, 2.0]])
 
+    def test_append_keeps_a_float64_array_and_makes_it_read_only(self):
+        value = np.array([[1.0, -2.0]])
+        node = Tape().append("probe", value)
+        assert node.value is value
+        assert not value.flags.writeable
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(np.float64(2.5), id="float64-scalar"),
+        pytest.param(np.array([1.5, -2.0], dtype=np.float32), id="float32"),
+        pytest.param(np.array([[1, -2]]), id="int"),
+        pytest.param([1.0, 2.0], id="list"),
+    ])
+    def test_append_converts_other_values_to_float64_arrays(self, value):
+        node = Tape().append("probe", value)
+        assert type(node.value) is np.ndarray and node.value.dtype == np.float64
+        assert not node.value.flags.writeable
+        np.testing.assert_array_equal(node.value, np.asarray(value, dtype=np.float64))
+
+    def test_append_infers_needs_grad_from_its_parents(self):
+        tape = Tape()
+        p, c1, c2 = tape.param(Tensor([1.0])), tape.constant([2.0]), tape.constant([3.0])
+        both = tape.append("probe", np.ones(1), (c1.index, p.index), (None, None))
+        consts = tape.append("probe", np.ones(1), (c1.index, c2.index), (None, None))
+        leaf = tape.append("probe", np.ones(1))
+        forced = tape.append("probe", np.ones(1), (c1.index,), (None,), needs_grad=True)
+        assert [tape._needs_grad[n.index] for n in (p, c1, both, consts, leaf, forced)] == [
+            True, False, True, False, False, True]
+
 
 class TestBackward:
     def test_square_polynomial(self):
@@ -636,6 +664,61 @@ class TestAdam:
         self.check_three_textbook_steps([(2000, 256), (256, 256)])
         assert halves == [numerics._adam_update] * 6  # both parameters, three steps
 
+    def test_bucketed_and_split_parameters_match_the_textbook_update_exactly(self):
+        opt, m, v = self.check_three_textbook_steps([(3, 2), (4,), (2000, 256), (256,)])
+        for i in range(4):  # each parameter's own state, a view into the bucket or not
+            np.testing.assert_array_equal(bits(opt.m[i]), bits(m[i]))
+            np.testing.assert_array_equal(bits(opt.v[i]), bits(v[i]))
+            assert opt.m[i].shape == m[i].shape and opt.v[i].shape == v[i].shape
+
+    def test_one_update_for_every_small_parameter(self, monkeypatch):
+        halves = count_halves(monkeypatch)
+        sizes = []
+        real = numerics._adam_update
+        monkeypatch.setattr(numerics, "_adam_update",
+                            lambda p, *rest: sizes.append(p.size) or real(p, *rest))
+        shapes = [(3, 2), (2000, 256), (4,), (2 ** 15,), (2 ** 15 - 1,)]
+        params = [Tensor(np.ones(shape)) for shape in shapes]
+        Adam(params, lr=0.1).step(params, params)
+        bucket = 6 + 4 + 2 ** 15 - 1
+        assert sizes.count(bucket) == 1
+        assert sum(sizes) == bucket + 2000 * 256 + 2 ** 15
+        if numerics._helper() is not None:
+            assert halves == [numerics._adam_update] * 2  # only the two large parameters split
+            assert len(sizes) == 5
+
+    def test_small_parameters_come_back_frozen(self):
+        params = [Tensor(np.ones((3, 2))), Tensor(np.ones(2 ** 15)), Tensor(np.ones(4))]
+        out = Adam(params, lr=0.1).step(params, params)
+        bucket = out[0].array.base
+        assert bucket is not None and out[2].array.base is bucket  # views of one array
+        for tensor in out:
+            assert not tensor.array.flags.writeable
+            assert numerics._frozen(tensor.array)
+            assert Tape().constant(tensor.array).value is tensor.array  # aliased, not copied
+        with pytest.raises(ValueError, match="read-only"):
+            out[0].array[0, 0] = 5.0
+
+    def test_bucket_mismatch_after_a_large_parameter_changes_no_state(self):
+        params = [Tensor(np.ones(2 ** 15)), Tensor([1.0, 2.0])]
+        opt = Adam(params, lr=0.01)
+        with pytest.raises(ShapeError, match="parameter 1"):
+            opt.step(params, [Tensor(np.ones(2 ** 15)), Tensor([[1.0, 2.0]])])
+        assert opt.step_count == 0
+        for state in opt.m + opt.v:
+            assert not state.any()
+
+    @pytest.mark.parametrize("name,value", [
+        ("lr", math.nan), ("lr", math.inf), ("lr", -math.inf), ("lr", 0.0), ("lr", -1.0),
+        ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1.0),
+    ])
+    def test_bad_hyperparameter_rejected_by_name(self, name, value):
+        kwargs = {"lr": 0.01, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                Adam([Tensor([1.0])], **kwargs)
+
     @staticmethod
     def check_three_textbook_steps(shapes):
         rng = np.random.default_rng(6)
@@ -661,6 +744,7 @@ class TestAdam:
         for i in range(2):
             np.testing.assert_array_equal(opt.m[i], m[i])
             np.testing.assert_array_equal(opt.v[i], v[i])
+        return opt, m, v
 
     def test_shape_mismatch_rejected(self):
         opt = Adam([Tensor([1.0, 2.0])], lr=0.01)
