@@ -2,7 +2,7 @@
 adversarial alignment."""
 
 from .data import DomainData, MultiSourceTask, SynthSpec
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, NonFiniteError, ParseError, ShapeError
 from .model import ModelParams
 from .numerics import Adam, Tape, Tensor
 from .training import IterationRecord, TrainConfig, TrainTrace, train
@@ -16,6 +16,7 @@ __all__ = [
     "IterationRecord",
     "ModelParams",
     "MultiSourceTask",
+    "NonFiniteError",
     "ParseError",
     "ShapeError",
     "SynthSpec",

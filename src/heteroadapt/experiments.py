@@ -26,11 +26,11 @@ from .model import (
     ModelParams,
     TaskEmbeddings,
     classification_loss,
-    fg_parameters,
-    lift_fg,
-    replace_fg,
+    leaves,
+    lift,
     transform,
     transform_values,
+    with_leaves,
 )
 from .numerics import Adam, Tape, Tensor
 from .training import TrainConfig, TrainTrace, evaluate_accuracy, init_params, train
@@ -85,10 +85,10 @@ def supervised_train(params: ModelParams, task: MultiSourceTask,
     `task` (never its unlabeled split): per iteration, one tape with
     `classification_loss` at unit source weights, then one Adam step taken
     with no tape alive (the "Lifetime" rule of `numerics`)."""
-    opt = Adam(fg_parameters(params), config.lr_fg)
+    opt = Adam(list(leaves(params, "fg").values()), config.lr_fg)
     for _ in range(config.iterations):
         tape = Tape()
-        model = lift_fg(tape, params, trainable=True)
+        model = lift(tape, params, "fg", trainable=True)
         sources = [transform(t, tape.constant(d.features))
                    for t, d in zip(model.sources, task.sources)]
         labeled = transform(model.target, tape.constant(task.target_labeled.features))
@@ -96,7 +96,7 @@ def supervised_train(params: ModelParams, task: MultiSourceTask,
                                    [1.0] * task.num_sources, config.tau)
         grads = tape.backward(loss)
         del tape, model, sources, labeled, loss
-        params = replace_fg(params, opt.step(fg_parameters(params), grads))
+        params = with_leaves(params, "fg", opt.step(list(leaves(params, "fg").values()), grads))
     return params
 
 

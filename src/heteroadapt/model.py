@@ -118,13 +118,7 @@ class ModelParams:
     holds the target's own `w2` and `b2` objects, and `tied_second` reads
     that off. Partial sharing (some sources share and others do not, or a
     source shares `w2` but not `b2`) is rejected. A model without sources is
-    untied.
-
-    The flat f/g order, used by `fg_parameters`, `replace_fg`, the trainable
-    leaves of a tape and the Adam slots, is: per source `w1, b1, w2, b2`
-    (only `w1, b1` when tied), then the target's `w1, b1, w2, b2`, then the
-    classifier's `w, b`. A tied second layer thus appears once, with the
-    target.
+    untied. `leaves` flattens it into two named groups.
     """
 
     sources: tuple[TransformerParams, ...]
@@ -172,65 +166,51 @@ class ModelParams:
         return self.target.d_out
 
 
-def fg_parameters(params: ModelParams) -> list[Leaf]:
-    """Transformer + classifier leaves in the flat order of `ModelParams`."""
-    tied = params.tied_second
-    out: list[Leaf] = []
-    for t in params.sources:
-        out.extend([t.w1, t.b1] if tied else [t.w1, t.b1, t.w2, t.b2])
-    out.extend([params.target.w1, params.target.b1, params.target.w2, params.target.b2])
-    out.extend([params.classifier.w, params.classifier.b])
-    return out
+# -- named parameter groups -------------------------------------------------
+
+_LAYERS = ("w1", "b1", "w2", "b2")
 
 
-def replace_fg(params: ModelParams, leaves: Sequence[Leaf]) -> ModelParams:
-    """Rebuild `params` from a flat list in `fg_parameters` order.
+def leaves(params: ModelParams, group: str) -> dict[str, Leaf]:
+    """One parameter group's leaves by name, in the flat order of a tape's
+    trainable leaves and of the Adam slots. Group `"fg"` is per source
+    `source k w1, b1, w2, b2` (only `w1, b1` when tied), then `target w1`
+    to `b2`, then `classifier w, b`: a tied second layer appears once,
+    named for the target. Group `"d"` is `discriminator w1` to `b2`."""
+    if group == "d":
+        parts = [("discriminator", params.discriminator, _LAYERS)]
+    elif group == "fg":
+        own = ("w1", "b1") if params.tied_second else _LAYERS
+        parts = [*((f"source {k}", t, own) for k, t in enumerate(params.sources)),
+                 ("target", params.target, _LAYERS), ("classifier", params.classifier, ("w", "b"))]
+    else:
+        raise ConfigError(f"parameter group must be 'fg' or 'd', got {group!r}")
+    return {f"{who} {n}": getattr(part, n) for who, part, names in parts for n in names}
 
-    The leaves may be Tensors or Nodes; a tied model stays tied, its sources
-    holding the new target second layer.
-    """
-    tied = params.tied_second
-    per_source = 2 if tied else 4
-    expected = per_source * params.num_sources + 6
-    if len(leaves) != expected:
-        raise ShapeError(f"expected {expected} tensors, got {len(leaves)}")
-    it = iter(leaves)
-    firsts = [[next(it) for _ in range(per_source)] for _ in params.sources]
-    target = TransformerParams(next(it), next(it), next(it), next(it))
-    if tied:
-        firsts = [[w1, b1, target.w2, target.b2] for w1, b1 in firsts]
-    sources = tuple(TransformerParams(*leaves_k) for leaves_k in firsts)
-    classifier = ClassifierParams(next(it), next(it))
+
+def with_leaves(params: ModelParams, group: str, new: Sequence[Leaf]) -> ModelParams:
+    """`params` with `group`'s leaves replaced by `new` (Tensors or Nodes) in
+    `leaves` order; a tied source, having no `w2`, `b2` of its own, takes
+    the target's new ones, so a tied model stays tied."""
+    names = leaves(params, group)
+    if len(new) != len(names):
+        raise ShapeError(f"parameter group {group!r} has {len(names)} leaves, got {len(new)}")
+    if group == "d":
+        return replace(params, discriminator=DiscriminatorParams(*new))
+    named = dict(zip(names, new))
+    target = TransformerParams(*[named[f"target {n}"] for n in _LAYERS])
+    sources = tuple(TransformerParams(*[named.get(f"source {k} {n}", getattr(target, n))
+                                        for n in _LAYERS]) for k in range(params.num_sources))
+    classifier = ClassifierParams(named["classifier w"], named["classifier b"])
     return ModelParams(sources, target, classifier, params.discriminator)
 
 
-def d_parameters(params: ModelParams) -> list[Leaf]:
-    d = params.discriminator
-    return [d.w1, d.b1, d.w2, d.b2]
-
-
-def replace_d(params: ModelParams, leaves: Sequence[Leaf]) -> ModelParams:
-    if len(leaves) != 4:
-        raise ShapeError(f"discriminator has 4 tensors, got {len(leaves)}")
-    return replace(params, discriminator=DiscriminatorParams(*leaves))
-
-
-# -- lifting parameters onto a tape ------------------------------------------
-
-
-def lift_fg(tape: Tape, params: ModelParams, *, trainable: bool) -> ModelParams:
-    """Transformers and classifier lifted in `fg_parameters` order, so
-    `tape.backward` returns gradients in that order (frozen ones become
-    constants); the discriminator is left as it is."""
-    lift = tape.param if trainable else tape.constant
-    return replace_fg(params, [lift(p) for p in fg_parameters(params)])
-
-
-def lift_discriminator(tape: Tape, model: ModelParams, disc: DiscriminatorParams, *,
-                       trainable: bool) -> ModelParams:
-    """`model` with `disc` lifted onto the same tape as its discriminator."""
-    lift = tape.param if trainable else tape.constant
-    return replace_d(model, [lift(p) for p in (disc.w1, disc.b1, disc.w2, disc.b2)])
+def lift(tape: Tape, params: ModelParams, group: str, *, trainable: bool) -> ModelParams:
+    """`params` with `group` lifted onto `tape` in `leaves` order, as
+    trainable leaves, so `tape.backward` returns gradients in that order,
+    or as constants; the other group is left as it is."""
+    put = tape.param if trainable else tape.constant
+    return with_leaves(params, group, [put(p) for p in leaves(params, group).values()])
 
 
 # -- forward passes -----------------------------------------------------------
@@ -509,7 +489,7 @@ def embedding_pass(
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     tape = Tape()
-    model = lift_fg(tape, params, trainable=True)
+    model = lift(tape, params, "fg", trainable=True)
     emb = embed_task(model, tape, task)
     soft_logits = None
     if soft is None:
@@ -539,7 +519,7 @@ def transformer_objective(
     if lg_norm not in LG_NORMS:
         raise ConfigError(f"lg_norm must be one of {LG_NORMS}, got {lg_norm!r}")
     tape, emb, weights = fwd.tape, fwd.emb, fwd.weights
-    model = lift_discriminator(tape, fwd.model, discriminator, trainable=False)
+    model = lift(tape, replace(fwd.model, discriminator=discriminator), "d", trainable=False)
     cls = classification_loss(model, emb, task, weights, tau)
     cons = None
     if lg_norm in ("l1", "l2") and task.num_sources >= 1:
@@ -565,7 +545,7 @@ def build_discriminator_objective(
     values (read-only, so aliased) and the weights enter as constants.
     """
     tape = Tape()
-    model = lift_discriminator(tape, params, params.discriminator, trainable=True)
+    model = lift(tape, params, "d", trainable=True)
     frozen = TaskEmbeddings([tape.constant(e.value) for e in emb.sources],
                             tape.constant(emb.target_labeled.value),
                             tape.constant(emb.target_unlabeled.value))

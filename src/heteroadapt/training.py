@@ -43,7 +43,7 @@ tape is dropped once its own step is done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +58,10 @@ from .model import (
     TransformerParams,
     build_discriminator_objective,
     classifier_logits,
-    d_parameters,
     embedding_pass,
-    fg_parameters,
-    replace_d,
-    replace_fg,
+    leaves,
     transformer_objective,
+    with_leaves,
 )
 from .numerics import Adam, Node, Tensor
 
@@ -195,8 +193,8 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     d_loss = build_discriminator_objective(params, fwd.emb, weights)
     loss_d = float(d_loss.value)
     _check_finite([("loss_d", loss_d)])
-    d_grads = _gradients(d_loss, params, d_parameters(params))
-    params = replace_d(params, opt_d.step(d_parameters(params), d_grads))
+    d_grads = _gradients(d_loss, params, "d")
+    params = with_leaves(params, "d", opt_d.step(list(leaves(params, "d").values()), d_grads))
     del d_loss, d_grads
 
     obj = transformer_objective(
@@ -209,9 +207,9 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     _check_finite([("loss_fg", loss_fg), ("loss_lg", loss_lg), ("loss_dg_inv", loss_dg_inv),
                    ("objective", float(obj.objective.value))])
     target_acc = _hit_rate(fwd.soft_logits.value, task.eval_labels)
-    fg_grads = _gradients(obj.objective, params, fg_parameters(params))
+    fg_grads = _gradients(obj.objective, params, "fg")
     del fwd, obj
-    params = replace_fg(params, opt_fg.step(fg_parameters(params), fg_grads))
+    params = with_leaves(params, "fg", opt_fg.step(list(leaves(params, "fg").values()), fg_grads))
     return params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights, target_acc
 
 
@@ -221,18 +219,13 @@ def _check_finite(named) -> None:
             raise NonFiniteError(name)
 
 
-def _gradients(loss: Node, params: ModelParams, leaves) -> list[Tensor]:
-    """`loss.tape.backward(loss)` for `leaves` of `params`, lifted in that
-    order; a gradient that is not finite is named by its place in `params`."""
+def _gradients(loss: Node, params: ModelParams, group: str) -> list[Tensor]:
+    """`loss.tape.backward(loss)` for `group` of `params`, lifted in `leaves`
+    order; a gradient that is not finite is named by its leaf's name."""
     try:
         return loss.tape.backward(loss)
     except NonFiniteError as exc:
-        leaf = leaves[exc.position]
-        owners = [("target", params.target),
-                  *((f"source {k}", t) for k, t in enumerate(params.sources)),
-                  ("classifier", params.classifier), ("discriminator", params.discriminator)]
-        name = next(f"{owner} {f.name}" for owner, part in owners for f in fields(part)
-                    if getattr(part, f.name) is leaf)
+        name = list(leaves(params, group))[exc.position]
         raise NonFiniteError(f"gradient of {name}") from exc
 
 
@@ -273,8 +266,8 @@ def train(task: MultiSourceTask, config: TrainConfig,
     if params is None:
         params = init_params(task, config)
     validate_task(task, params)
-    opt_fg = Adam(fg_parameters(params), config.lr_fg)
-    opt_d = Adam(d_parameters(params), config.lr_d)
+    opt_fg = Adam(list(leaves(params, "fg").values()), config.lr_fg)
+    opt_d = Adam(list(leaves(params, "d").values()), config.lr_d)
     trace = TrainTrace()
     pending = None  # the previous step's record fields, awaiting its accuracy
 

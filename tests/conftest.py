@@ -18,8 +18,8 @@ from heteroadapt.model import (
     TransformerParams,
     classifier_logits,
     embed_task,
-    lift_discriminator,
-    lift_fg,
+    leaves,
+    lift,
 )
 from heteroadapt.numerics import Tape, Tensor, scale, softmax_values, sum_sq
 
@@ -88,8 +88,13 @@ def make_params(rng, source_dims, target_dim, hidden=4, d_c=4, num_classes=2, ti
 def frozen_model(tape, params):
     """Every parameter of `params` on `tape` as a constant, in training's
     lifting order: transformers and classifier, then the discriminator."""
-    model = lift_fg(tape, params, trainable=False)
-    return lift_discriminator(tape, model, params.discriminator, trainable=False)
+    model = lift(tape, params, "fg", trainable=False)
+    return lift(tape, model, "d", trainable=False)
+
+
+def leaf_list(params, *groups):
+    """The leaves of `params`' named groups, group after group, in one list."""
+    return [leaf for group in groups for leaf in leaves(params, group).values()]
 
 
 def target_soft(params, features):

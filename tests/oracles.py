@@ -203,16 +203,13 @@ def three_forward_train(task, config):
         classification_loss,
         classify,
         consistency_loss,
-        d_parameters,
         divergence_nodes,
         domain_loss,
         embed_task,
-        fg_parameters,
-        lift_discriminator,
-        lift_fg,
-        replace_d,
-        replace_fg,
+        leaves,
+        lift,
         source_weight_nodes,
+        with_leaves,
     )
     from heteroadapt.numerics import Adam, Tape, softmax_values
     from heteroadapt.training import (
@@ -223,14 +220,14 @@ def three_forward_train(task, config):
 
     conditional = config.weighting == "conditional"
     params = init_params(task, config)
-    opt_fg = Adam(fg_parameters(params), config.lr_fg)
-    opt_d = Adam(d_parameters(params), config.lr_d)
+    opt_fg = Adam(list(leaves(params, "fg").values()), config.lr_fg)
+    opt_d = Adam(list(leaves(params, "d").values()), config.lr_d)
     records = []
     for it in range(config.iterations):
         # forward 1: the weighting pass on a constant tape
         tape = Tape()
-        model = lift_fg(tape, params, trainable=False)
-        model = lift_discriminator(tape, model, params.discriminator, trainable=False)
+        model = lift(tape, params, "fg", trainable=False)
+        model = lift(tape, model, "d", trainable=False)
         emb = embed_task(model, tape, task)
         soft = softmax_values(classify(model, emb.target_unlabeled).value)
         delta_nodes = divergence_nodes(emb, task, soft)
@@ -242,12 +239,13 @@ def three_forward_train(task, config):
             weights = np.ones(task.num_sources)
         d_loss = build_discriminator_objective(params, emb, weights)
         loss_d = float(d_loss.value)
-        params = replace_d(params, opt_d.step(d_parameters(params), d_loss.tape.backward(d_loss)))
+        params = with_leaves(params, "d", opt_d.step(list(leaves(params, "d").values()),
+                                                     d_loss.tape.backward(d_loss)))
 
         # forward 2: the transformer objective on its own tape
         tape = Tape()
-        model = lift_fg(tape, params, trainable=True)
-        model = lift_discriminator(tape, model, params.discriminator, trainable=False)
+        model = lift(tape, params, "fg", trainable=True)
+        model = lift(tape, model, "d", trainable=False)
         emb = embed_task(model, tape, task)
         live = [1.0] * task.num_sources
         if conditional and task.num_sources >= 2:
@@ -261,7 +259,7 @@ def three_forward_train(task, config):
         if config.beta > 0.0:
             objective = objective + config.beta * inv
         grads = tape.backward(objective)
-        params = replace_fg(params, opt_fg.step(fg_parameters(params), grads))
+        params = with_leaves(params, "fg", opt_fg.step(list(leaves(params, "fg").values()), grads))
 
         # forward 3: evaluation of the updated parameters
         target_acc = evaluate_accuracy(params, task.target_unlabeled.features, task.eval_labels)
@@ -303,7 +301,7 @@ def plain_supervised_train(
     values and the final parameters (discriminator untouched).
     """
     from heteroadapt.errors import ConfigError
-    from heteroadapt.model import fg_parameters, replace_fg
+    from heteroadapt.model import leaves, with_leaves
     from heteroadapt.numerics import Tensor
 
     if params.tied_second:
@@ -311,9 +309,9 @@ def plain_supervised_train(
     slope, tau = 0.01, config.tau  # the rectifier's slope, restated apart from `numerics`
     domains = [(d.features.array, _one_hot(d.labels, task.num_classes))
                for d in (*task.sources, task.target_labeled)]
-    # fg_parameters order: w1, b1, w2, b2 per domain (sources, then the
-    # target), then the classifier's w, b in the last two slots
-    flat = [leaf.array.copy() for leaf in fg_parameters(params)]
+    # `leaves` order of group "fg": w1, b1, w2, b2 per domain (sources,
+    # then the target), then the classifier's w, b in the last two slots
+    flat = [leaf.array.copy() for leaf in leaves(params, "fg").values()]
     cls_off = 4 * len(domains)
     m = [np.zeros_like(a) for a in flat]
     v = [np.zeros_like(a) for a in flat]
@@ -368,7 +366,7 @@ def plain_supervised_train(
             mhat = m[i] / (1.0 - b1c ** step)
             vhat = v[i] / (1.0 - b2c ** step)
             flat[i] = flat[i] - lr * mhat / (np.sqrt(vhat) + eps)
-    return losses, replace_fg(params, [Tensor(a) for a in flat])
+    return losses, with_leaves(params, "fg", [Tensor(a) for a in flat])
 
 
 def fstring_save_domain_file(domain, path):

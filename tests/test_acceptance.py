@@ -7,7 +7,7 @@ criteria. Everything is seeded; reruns are bit-identical.
 
 import numpy as np
 import pytest
-from conftest import frozen_embeddings, make_params, make_task, target_soft
+from conftest import frozen_embeddings, leaf_list, make_params, make_task, target_soft
 from oracles import grad_check, naive_class_conditional_mmd, plain_supervised_train
 
 from heteroadapt.cli import main as cli_main
@@ -20,14 +20,11 @@ from heteroadapt.experiments import (
 from heteroadapt.model import (
     build_discriminator_objective,
     class_conditional_mmd,
-    d_parameters,
     embedding_pass,
-    fg_parameters,
-    replace_d,
-    replace_fg,
     source_weight_nodes,
     target_class_means,
     transformer_objective,
+    with_leaves,
 )
 from heteroadapt.numerics import Tape
 from heteroadapt.training import TrainConfig, init_params, train
@@ -46,7 +43,7 @@ def _report(number: int, name: str) -> None:
 
 @pytest.fixture(scope="session")
 def noise_family():
-    """Criteria 6/8: two informative sources plus one injected noise source,
+    """Criteria 6/8/11: two informative sources plus one injected noise source,
     default config at 300 iterations, 10 seeds; plus the two weighting
     ablations at 5 seeds on the same per-seed construction."""
     from dataclasses import replace
@@ -178,23 +175,23 @@ def test_c04_gradient_correctness():
     soft = target_soft(params, task.target_unlabeled.features)
 
     def fg_loss(tensors):
-        rebuilt = replace_fg(params, tensors)
+        rebuilt = with_leaves(params, "fg", tensors)
         fwd = embedding_pass(rebuilt, task, weighting="conditional", soft=soft)
         obj = transformer_objective(
             fwd, rebuilt.discriminator, task, beta=0.03, tau=0.004, lg_norm="l1"
         )
         return obj.objective
 
-    err_fg = grad_check(fg_loss, fg_parameters(params))
+    err_fg = grad_check(fg_loss, leaf_list(params, "fg"))
     assert err_fg < 1e-4, f"transformer objective gradient error {err_fg}"
 
     emb = frozen_embeddings(params, task)
 
     def d_loss(tensors):
-        rebuilt = replace_d(params, tensors)
+        rebuilt = with_leaves(params, "d", tensors)
         return build_discriminator_objective(rebuilt, emb, [0.6, 0.8])
 
-    err_d = grad_check(d_loss, d_parameters(params))
+    err_d = grad_check(d_loss, leaf_list(params, "d"))
     assert err_d < 1e-4, f"discriminator objective gradient error {err_d}"
     _report(4, "gradient correctness")
 
@@ -302,3 +299,18 @@ def test_c10_cli_determinism(tmp_path, capsys):
     t2 = (tmp_path / "r2" / "trace.csv").read_bytes()
     assert t1 == t2 and len(t1) > 0
     _report(10, "command-line determinism")
+
+
+@pytest.mark.slow
+def test_c11_weighting_aligns_conditionals(noise_family):
+    """Conditional weighting aligns the class-conditional distributions: in
+    each of seeds 0-4, every informative source ends with a smaller
+    divergence under `full` than under `ones_weight`."""
+    full, ones, _ = noise_family
+    assert full.summary.seeds[: len(ABLATION_SEEDS)] == ones.summary.seeds == ABLATION_SEEDS
+    pairs = zip(ABLATION_SEEDS, full.final_deltas[:, :-1], ones.final_deltas[:, :-1])
+    for seed, weighted, unweighted in pairs:
+        assert np.all(weighted < unweighted), (
+            f"seed {seed}: full deltas {weighted}, ones_weight deltas {unweighted}"
+        )
+    _report(11, "conditional alignment")

@@ -1,10 +1,12 @@
-"""The package's exceptions survive a process boundary unchanged."""
+"""The package's exceptions: exported from the package root, and unchanged
+across a process boundary."""
 
 import inspect
 import pickle
 
 import pytest
 
+import heteroadapt
 from heteroadapt import errors
 from heteroadapt.errors import ConfigError, NonFiniteError, ParseError, ShapeError
 from heteroadapt.training import IterationRecord
@@ -30,7 +32,16 @@ def test_pickling_keeps_message_and_attributes(exc):
     assert vars(back) == vars(exc)
 
 
+def _defined():
+    return {obj for _, obj in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(obj, Exception) and obj.__module__ == errors.__name__}
+
+
 def test_examples_cover_every_error_class():
-    defined = {obj for _, obj in inspect.getmembers(errors, inspect.isclass)
-               if issubclass(obj, Exception) and obj.__module__ == errors.__name__}
-    assert defined == {type(e) for e in EXAMPLES}
+    assert _defined() == {type(e) for e in EXAMPLES}
+
+
+def test_package_root_exports_every_error_class():
+    for cls in _defined():
+        assert cls.__name__ in heteroadapt.__all__
+        assert getattr(heteroadapt, cls.__name__) is cls

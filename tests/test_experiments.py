@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import leaf_list
 from oracles import plain_supervised_train
 
 from heteroadapt import experiments
@@ -24,7 +25,6 @@ from heteroadapt.experiments import (
     supervised_train,
     write_summary_csvs,
 )
-from heteroadapt.model import fg_parameters
 from heteroadapt.numerics import Tensor
 from heteroadapt.training import TrainConfig, evaluate_accuracy, init_params, train
 
@@ -77,7 +77,7 @@ class TestReductionOracle:
         trace = train(task, config, params=params)
         loop_losses = [r.loss_fg for r in trace.records]
         np.testing.assert_allclose(loop_losses, plain_losses, rtol=0.0, atol=1e-9)
-        for ta, tb in zip(fg_parameters(trace.final_params), fg_parameters(plain_final)):
+        for ta, tb in zip(leaf_list(trace.final_params, "fg"), leaf_list(plain_final, "fg")):
             np.testing.assert_allclose(ta.array, tb.array, atol=1e-9)
 
     @pytest.mark.parametrize("num_sources", [0, 1, 2, 3],
@@ -91,7 +91,7 @@ class TestReductionOracle:
         params = init_params(task, config)
         _, plain_final = plain_supervised_train(params, task, config)
         final = supervised_train(params, task, config)
-        for ta, tb in zip(fg_parameters(final), fg_parameters(plain_final), strict=True):
+        for ta, tb in zip(leaf_list(final, "fg"), leaf_list(plain_final, "fg"), strict=True):
             np.testing.assert_allclose(ta.array, tb.array, rtol=0.0, atol=1e-9)
 
     def test_plain_trainer_learns(self):
@@ -148,7 +148,7 @@ class TestBaselines:
         params = init_params(task, config)
         base = supervised_train(params, task, config)
         again = supervised_train(params, swapped, config)
-        for ta, tb in zip(fg_parameters(base), fg_parameters(again), strict=True):
+        for ta, tb in zip(leaf_list(base, "fg"), leaf_list(again, "fg"), strict=True):
             assert np.array_equal(ta.array, tb.array)
 
     @pytest.mark.parametrize("baseline", [run_baseline_nnt, run_baseline_nnst],

@@ -1,13 +1,14 @@
 """Architecture forward passes, losses, divergence, and source weighting."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from conftest import (
     frozen_embeddings,
     frozen_model,
+    leaf_list,
     make_params,
     make_task,
     make_toy_task,
@@ -27,25 +28,33 @@ from heteroadapt.model import (
     classifier_logits,
     classify,
     consistency_loss,
-    d_parameters,
     discriminate,
     domain_loss,
     embed_task,
     embedding_pass,
-    fg_parameters,
-    lift_fg,
-    replace_d,
-    replace_fg,
+    leaves,
+    lift,
     source_weight_nodes,
     target_class_means,
     transform,
     transform_values,
     transformer_objective,
+    with_leaves,
 )
 from heteroadapt.numerics import Tape, Tensor, softmax_values, sum_sq
 
 ID1 = Tensor([[1.0]])
 ZERO1 = Tensor([0.0])
+
+
+def owner_name(params, leaf):
+    """Reference name of `leaf`: the first owner, searched in the order
+    target, sources, classifier, discriminator, with a field that is `leaf`."""
+    owners = [("target", params.target),
+              *((f"source {k}", t) for k, t in enumerate(params.sources)),
+              ("classifier", params.classifier), ("discriminator", params.discriminator)]
+    return next(f"{owner} {f.name}" for owner, part in owners for f in fields(part)
+                if getattr(part, f.name) is leaf)
 
 
 def identity_transformer():
@@ -171,23 +180,24 @@ class TestForward:
 class TestParamPlumbing:
     def test_fg_round_trip(self, toy_setup):
         params, _ = toy_setup
-        rebuilt = replace_fg(params, fg_parameters(params))
-        assert fg_parameters(rebuilt) == fg_parameters(params)
-        assert d_parameters(replace_d(params, d_parameters(params))) == d_parameters(params)
+        rebuilt = with_leaves(params, "fg", leaf_list(params, "fg"))
+        assert leaves(rebuilt, "fg") == leaves(params, "fg")
+        disc = leaf_list(params, "d")
+        assert list(leaves(with_leaves(params, "d", disc), "d").values()) == disc
 
     def test_tied_second_layer_is_one_block(self):
         rng = np.random.default_rng(1)
         tied = make_params(rng, (3, 5), 4, tied=True)
         untied = make_params(rng, (3, 5), 4, tied=False)
         # two sources: tied drops 2 tensors per source
-        assert len(fg_parameters(tied)) == len(fg_parameters(untied)) - 4
+        assert len(leaves(tied, "fg")) == len(leaves(untied, "fg")) - 4
         assert tied.sources[0].w2 is tied.target.w2
         assert tied.sources[1].b2 is tied.target.b2
 
     def test_tied_round_trip_preserves_sharing(self):
         rng = np.random.default_rng(2)
         tied = make_params(rng, (3, 5), 4, tied=True)
-        rebuilt = replace_fg(tied, fg_parameters(tied))
+        rebuilt = with_leaves(tied, "fg", leaf_list(tied, "fg"))
         assert rebuilt.sources[0].w2 is rebuilt.target.w2
 
     @pytest.mark.parametrize("kind", ["untied", "tied", "no sources"])
@@ -195,26 +205,49 @@ class TestParamPlumbing:
         dims = () if kind == "no sources" else (3, 5)
         params = make_params(np.random.default_rng(4), dims, 4, tied=kind == "tied")
         assert params.tied_second == (kind == "tied")
-        flat = fg_parameters(params)
-        rebuilt = replace_fg(params, flat)
+        flat = leaf_list(params, "fg")
+        rebuilt = with_leaves(params, "fg", flat)
         assert rebuilt.tied_second == params.tied_second
-        assert len(fg_parameters(rebuilt)) == len(flat)
-        assert all(a is b for a, b in zip(fg_parameters(rebuilt), flat))
+        assert len(leaves(rebuilt, "fg")) == len(flat)
+        assert all(a is b for a, b in zip(leaves(rebuilt, "fg").values(), flat))
 
         # trainable leaves hold the flat values in order, so backward's
         # gradient list lines up with the Adam slots
         tape = Tape()
-        lifted = lift_fg(tape, params, trainable=True)
+        lifted = lift(tape, params, "fg", trainable=True)
         assert lifted.tied_second == params.tied_second
-        leaves = fg_parameters(lifted)
         total = tape.constant(0.0)
-        for i, (leaf, p) in enumerate(zip(leaves, flat, strict=True)):
+        for i, (leaf, p) in enumerate(zip(leaves(lifted, "fg").values(), flat, strict=True)):
             np.testing.assert_array_equal(leaf.value, p.array)
             total = total + (i + 1.0) * sum_sq(leaf)
         grads = tape.backward(total)
         assert len(grads) == len(flat)
         for i, (g, p) in enumerate(zip(grads, flat)):
             np.testing.assert_allclose(g.array, 2.0 * (i + 1.0) * p.array, rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["untied", "tied", "no sources"])
+    def test_leaf_names_are_unique_and_name_the_first_owner(self, kind):
+        dims = () if kind == "no sources" else (3, 5)
+        params = make_params(np.random.default_rng(5), dims, 4, tied=kind == "tied")
+        named = {**leaves(params, "fg"), **leaves(params, "d")}
+        assert len(named) == len(leaves(params, "fg")) + 4  # no name in both groups
+        assert len({id(leaf) for leaf in named.values()}) == len(named)
+        assert list(named) == [owner_name(params, leaf) for leaf in named.values()]
+        if kind == "tied":
+            assert "target w2" in named and "source 0 w2" not in named
+
+    @pytest.mark.parametrize("group", ["fg", "d"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_leaf_count_rejected(self, toy_setup, group, extra):
+        params, _ = toy_setup
+        flat = list(leaves(params, group).values())
+        new = flat[:-1] if extra < 0 else flat + flat[-1:]
+        with pytest.raises(ShapeError, match=f"has {len(flat)} leaves, got {len(new)}"):
+            with_leaves(params, group, new)
+
+    def test_unknown_group_rejected(self, toy_setup):
+        with pytest.raises(ConfigError, match="'fg' or 'd'"):
+            leaves(toy_setup[0], "classifier")
 
     @pytest.mark.parametrize("case, culprit", [
         ("tied, source 1 unshared", 1),
@@ -650,14 +683,14 @@ class TestObjectives:
         soft = target_soft(params, task.target_unlabeled.features)
 
         def fn(tensors):
-            rebuilt = replace_fg(params, tensors)
+            rebuilt = with_leaves(params, "fg", tensors)
             fwd = embedding_pass(rebuilt, task, weighting="conditional", soft=soft)
             obj = transformer_objective(
                 fwd, rebuilt.discriminator, task, beta=0.03, tau=0.004, lg_norm="l1"
             )
             return obj.objective
 
-        assert grad_check(fn, fg_parameters(params)) < 1e-4
+        assert grad_check(fn, leaf_list(params, "fg")) < 1e-4
 
     def test_discriminator_gradients(self, toy_setup):
         params, task = toy_setup
@@ -665,10 +698,10 @@ class TestObjectives:
         emb = frozen_embeddings(params, task)
 
         def fn(tensors):
-            rebuilt = replace_d(params, tensors)
+            rebuilt = with_leaves(params, "d", tensors)
             return build_discriminator_objective(rebuilt, emb, weights)
 
-        assert grad_check(fn, d_parameters(params)) < 1e-4
+        assert grad_check(fn, leaf_list(params, "d")) < 1e-4
 
     def test_divergence_actually_influences_gradient(self, toy_setup):
         # removing weight nodes (ones ablation) must change transformer grads

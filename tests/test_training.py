@@ -20,10 +20,8 @@ from heteroadapt.model import (
     DiscriminatorParams,
     ModelParams,
     TransformerParams,
-    d_parameters,
-    fg_parameters,
 )
-from heteroadapt.numerics import Adam, Tensor
+from heteroadapt.numerics import Adam, Tensor, scale, sum_sq
 from heteroadapt.training import (
     TrainConfig,
     evaluate_accuracy,
@@ -32,7 +30,7 @@ from heteroadapt.training import (
     train_step,
 )
 
-from conftest import count_halves, overflow_gradient_at_third_step, target_soft
+from conftest import count_halves, leaf_list, overflow_gradient_at_third_step, target_soft
 from oracles import assert_traces_close, old_order_divergence_nodes, three_forward_train
 
 
@@ -102,7 +100,7 @@ class TestInit:
         task = tiny_task()
         a = init_params(task, tiny_config())
         b = init_params(task, tiny_config())
-        for ta, tb in zip(fg_parameters(a) + d_parameters(a), fg_parameters(b) + d_parameters(b)):
+        for ta, tb in zip(leaf_list(a, "fg", "d"), leaf_list(b, "fg", "d")):
             assert np.array_equal(ta.array, tb.array)
 
     def test_different_seeds_differ(self):
@@ -136,27 +134,29 @@ class TestTrainStep:
         task = tiny_task()
         config = tiny_config()
         params = init_params(task, config)
-        opt_fg = Adam(fg_parameters(params), config.lr_fg)
-        opt_d = Adam(d_parameters(params), config.lr_d)
+        opt_fg = Adam(leaf_list(params, "fg"), config.lr_fg)
+        opt_d = Adam(leaf_list(params, "d"), config.lr_d)
 
         stepped = []  # what the discriminator step inside train_step produced
-        real_replace_d = training.replace_d
+        real_with_leaves = training.with_leaves
 
-        def spy(p, tensors):
-            stepped.append(real_replace_d(p, tensors))
-            return stepped[-1]
+        def spy(p, group, tensors):
+            rebuilt = real_with_leaves(p, group, tensors)
+            if group == "d":
+                stepped.append(rebuilt)
+            return rebuilt
 
-        monkeypatch.setattr(training, "replace_d", spy)
+        monkeypatch.setattr(training, "with_leaves", spy)
         new_params, _, _, _, _ = train_step(params, opt_fg, opt_d, task, config)
         (after_d,) = stepped
-        for ta, tb in zip(fg_parameters(params), fg_parameters(after_d)):
+        for ta, tb in zip(leaf_list(params, "fg"), leaf_list(after_d, "fg")):
             assert ta is tb  # f,g untouched by the discriminator step
         assert not np.array_equal(after_d.discriminator.w1.array,
                                   params.discriminator.w1.array)
 
         # then fg moved, and within the step d stayed what opt_d produced
         assert not np.array_equal(new_params.target.w1.array, after_d.target.w1.array)
-        for ta, tb in zip(d_parameters(after_d), d_parameters(new_params)):
+        for ta, tb in zip(leaf_list(after_d, "d"), leaf_list(new_params, "d")):
             assert ta is tb
 
     def test_embedding_tape_freed_before_transformer_update(self, monkeypatch):
@@ -186,8 +186,8 @@ class TestTrainStep:
         monkeypatch.setattr(training, "embedding_pass", spy_pass)
         monkeypatch.setattr(experiments, "Tape", spy_tape)
         monkeypatch.setattr(Adam, "step", spy_step)
-        train_step(params, Adam(fg_parameters(params), config.lr_fg),
-                   Adam(d_parameters(params), config.lr_d), task, config)
+        train_step(params, Adam(leaf_list(params, "fg"), config.lr_fg),
+                   Adam(leaf_list(params, "d"), config.lr_d), task, config)
         # the discriminator step runs while the pass is still needed; the
         # transformer/classifier step after every value has been read
         assert alive == [True, False]
@@ -202,8 +202,8 @@ class TestTrainStep:
         # arrays back to the kernel and faulted them in again, about 950 pages each
         task, config = synthetic_task(SynthSpec()), TrainConfig()
         params = init_params(task, config)
-        opt_fg = Adam(fg_parameters(params), config.lr_fg)
-        opt_d = Adam(d_parameters(params), config.lr_d)
+        opt_fg = Adam(leaf_list(params, "fg"), config.lr_fg)
+        opt_d = Adam(leaf_list(params, "d"), config.lr_d)
         faults = []
         for _ in range(15):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -245,8 +245,8 @@ class TestTrainStep:
         config = tiny_config()
         params = init_params(task, config)
         _, _, deltas, weights, _ = train_step(
-            params, Adam(fg_parameters(params), config.lr_fg),
-            Adam(d_parameters(params), config.lr_d), task, config,
+            params, Adam(leaf_list(params, "fg"), config.lr_fg),
+            Adam(leaf_list(params, "d"), config.lr_d), task, config,
         )
         fwd = embedding_pass(params, task, weighting=config.weighting)
         tape_deltas = np.array([float(d.value) for d in fwd.deltas])
@@ -312,8 +312,8 @@ def test_train_matches_three_forward_loop(overrides, spec):
     want_records, want_params = three_forward_train(task, config)
     trace = train(task, config)
     assert trace.records == want_records
-    got = fg_parameters(trace.final_params) + d_parameters(trace.final_params)
-    want = fg_parameters(want_params) + d_parameters(want_params)
+    got = leaf_list(trace.final_params, "fg", "d")
+    want = leaf_list(want_params, "fg", "d")
     for ta, tb in zip(got, want, strict=True):
         assert np.array_equal(ta.array, tb.array)
 
@@ -349,6 +349,23 @@ class TestNonFinite:
             train(task, config)
         assert info.value.records == want
 
+    def test_discriminator_gradient_overflow_names_its_leaf(self, monkeypatch):
+        real = model.domain_loss
+
+        def overflowing(m, emb, weights, inverted):
+            loss = real(m, emb, weights, inverted)
+            if inverted:  # the transformer objective's term; only the discriminator's overflows
+                return loss
+            # about 1e200 in value, about 1e350 in the gradient of discriminator w2
+            return loss + sum_sq(scale(scale(m.discriminator.w2, 1e-150), 1e250))
+
+        monkeypatch.setattr(model, "domain_loss", overflowing)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="^iteration 0: gradient of discriminator w2 is not finite$"
+        ) as info:
+            train(tiny_task(), tiny_config(iterations=3))
+        assert info.value.records == []
+
 
 class TestTrain:
     def test_zero_iterations_returns_init(self):
@@ -357,7 +374,7 @@ class TestTrain:
         trace = train(task, config)
         assert trace.records == []
         expected = init_params(task, config)
-        for ta, tb in zip(fg_parameters(trace.final_params), fg_parameters(expected)):
+        for ta, tb in zip(leaf_list(trace.final_params, "fg"), leaf_list(expected, "fg")):
             assert np.array_equal(ta.array, tb.array)
 
     def test_fixed_seed_bit_identical_trace(self):
@@ -365,7 +382,7 @@ class TestTrain:
         a = train(task, tiny_config(iterations=5))
         b = train(task, tiny_config(iterations=5))
         assert a.records == b.records
-        for ta, tb in zip(fg_parameters(a.final_params), fg_parameters(b.final_params)):
+        for ta, tb in zip(leaf_list(a.final_params, "fg"), leaf_list(b.final_params, "fg")):
             assert np.array_equal(ta.array, tb.array)
 
     @pytest.mark.parametrize("spec", [
@@ -383,7 +400,7 @@ class TestTrain:
         alone = train(task, config)
         assert repr(shared.records) == repr(alone.records)
         a, b = shared.final_params, alone.final_params
-        for ta, tb in zip(fg_parameters(a) + d_parameters(a), fg_parameters(b) + d_parameters(b),
+        for ta, tb in zip(leaf_list(a, "fg", "d"), leaf_list(b, "fg", "d"),
                           strict=True):
             assert np.array_equal(ta.array.view(np.int64), tb.array.view(np.int64))
 
