@@ -53,14 +53,17 @@ class DomainData:
 
 def _class_labels(values, n: int, num_classes: int, domain: str, field: str) -> np.ndarray:
     """`values` as n int64 classes, by the domain file's rule: each an integer
-    (`2.0` too; not a fraction, non-finite or boolean) in [0, num_classes)."""
+    (`2.0` too; not a fraction, non-finite or boolean) in [0, num_classes),
+    in a read-only array of the domain's own."""
     raw = np.asarray(values)
     if raw.shape != (n,):
         raise ConfigError(f"domain {domain!r}: {field} of shape {raw.shape} for {n} samples")
     integral = raw.dtype.kind in "iu" or raw.dtype.kind == "f" and np.all(raw == np.trunc(raw))
     if not integral or n and (raw.min() < 0 or raw.max() >= num_classes):  # nan, inf fail
         raise ConfigError(f"domain {domain!r}: {field} must be integers in [0, {num_classes})")
-    return raw.astype(np.int64, copy=False)
+    labels = raw.astype(np.int64)  # the domain's own copy, which no caller can write
+    labels.setflags(write=False)
+    return labels
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,13 @@ from .model import (
     ModelParams,
     TaskEmbeddings,
     classification_loss,
-    leaves,
+    flat_leaves,
     lift,
     transform,
     transform_values,
     with_leaves,
 )
-from .numerics import Adam, Tape, Tensor
+from .numerics import Adam, Program, Tape, Tensor
 from .training import TrainConfig, TrainTrace, evaluate_accuracy, init_params, train
 
 ABLATION_VARIANTS: dict[str, dict] = {
@@ -84,19 +84,28 @@ def supervised_train(params: ModelParams, task: MultiSourceTask,
     """Train the transformers and classifier on every labeled domain of
     `task` (never its unlabeled split): per iteration, one tape with
     `classification_loss` at unit source weights, then one Adam step taken
-    with no tape alive (the "Lifetime" rule of `numerics`)."""
-    opt = Adam(list(leaves(params, "fg").values()), config.lr_fg)
+    with no tape alive (the "Lifetime" rule of `numerics`). The first
+    iteration records its tape and the others replay it."""
+    opt = Adam(flat_leaves(params, "fg"), config.lr_fg)
+    program = loss_index = None
     for _ in range(config.iterations):
-        tape = Tape()
-        model = lift(tape, params, "fg", trainable=True)
-        sources = [transform(t, tape.constant(d.features))
-                   for t, d in zip(model.sources, task.sources)]
-        labeled = transform(model.target, tape.constant(task.target_labeled.features))
-        loss = classification_loss(model, TaskEmbeddings(sources, labeled, None), task,
-                                   [1.0] * task.num_sources, config.tau)
+        slots = [p.array for p in flat_leaves(params, "fg")]
+        if program is None:
+            tape = Tape()
+            model = lift(tape, params, "fg", trainable=True)
+            sources = [transform(t, tape.constant(d.features))
+                       for t, d in zip(model.sources, task.sources)]
+            labeled = transform(model.target, tape.constant(task.target_labeled.features))
+            loss = classification_loss(model, TaskEmbeddings(sources, labeled, None), task,
+                                       [1.0] * task.num_sources, config.tau)
+            program, loss_index = Program(tape, slots, [loss.index]), loss.index
+            del model, sources, labeled
+        else:
+            tape = program.run(slots)
+            loss = program.node(tape, loss_index)
         grads = tape.backward(loss)
-        del tape, model, sources, labeled, loss
-        params = with_leaves(params, "fg", opt.step(list(leaves(params, "fg").values()), grads))
+        del tape, loss
+        params = with_leaves(params, "fg", opt.step(flat_leaves(params, "fg"), grads))
     return params
 
 

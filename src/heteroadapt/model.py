@@ -20,9 +20,11 @@ from .data import MultiSourceTask
 from .errors import ConfigError, ShapeError
 from .numerics import (
     Node,
+    Op,
     Tape,
     Tensor,
     affine_values,
+    apply,
     leaky_relu,
     leaky_relu_values,
     matmul_affine,
@@ -43,8 +45,9 @@ _SIGMOID_CEILING = float(np.nextafter(1.0, 0.0))
 LG_NORMS = ("l1", "l2", "off", "tied")
 WEIGHTINGS = ("conditional", "ones")
 
-SOURCE_DOMAIN_LABEL = np.array([1.0, 0.0])
-TARGET_DOMAIN_LABEL = np.array([0.0, 1.0])
+_DOMAIN_LABELS = np.eye(2)
+_DOMAIN_LABELS.setflags(write=False)  # rows a replay reuses as per-run constants
+SOURCE_DOMAIN_LABEL, TARGET_DOMAIN_LABEL = _DOMAIN_LABELS
 
 
 def domain_labels(inverted: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -173,36 +176,47 @@ _LAYERS = ("w1", "b1", "w2", "b2")
 
 def leaves(params: ModelParams, group: str) -> dict[str, Leaf]:
     """One parameter group's leaves by name, in the flat order of a tape's
-    trainable leaves and of the Adam slots. Group `"fg"` is per source
-    `source k w1, b1, w2, b2` (only `w1, b1` when tied), then `target w1`
-    to `b2`, then `classifier w, b`: a tied second layer appears once,
-    named for the target. Group `"d"` is `discriminator w1` to `b2`."""
+    trainable leaves and of the Adam slots (`flat_leaves`). Group `"fg"` is
+    per source `source k w1, b1, w2, b2` (only `w1, b1` when tied), then
+    `target w1` to `b2`, then `classifier w, b`: a tied second layer appears
+    once, named for the target. Group `"d"` is `discriminator w1` to `b2`.
+    Training reads the leaves by position and formats names for messages."""
+    flat = flat_leaves(params, group)
     if group == "d":
-        parts = [("discriminator", params.discriminator, _LAYERS)]
-    elif group == "fg":
-        own = ("w1", "b1") if params.tied_second else _LAYERS
-        parts = [*((f"source {k}", t, own) for k, t in enumerate(params.sources)),
-                 ("target", params.target, _LAYERS), ("classifier", params.classifier, ("w", "b"))]
-    else:
+        return dict(zip((f"discriminator {n}" for n in _LAYERS), flat))
+    own = _LAYERS[:2] if params.tied_second else _LAYERS
+    names = [f"source {k} {n}" for k in range(params.num_sources) for n in own]
+    return dict(zip([*names, *(f"target {n}" for n in _LAYERS), "classifier w", "classifier b"],
+                    flat))
+
+
+def flat_leaves(params: ModelParams, group: str) -> list[Leaf]:
+    """`leaves(params, group)` in order, without the names."""
+    if group == "d":
+        d = params.discriminator
+        return [d.w1, d.b1, d.w2, d.b2]
+    if group != "fg":
         raise ConfigError(f"parameter group must be 'fg' or 'd', got {group!r}")
-    return {f"{who} {n}": getattr(part, n) for who, part, names in parts for n in names}
+    own, t, c = 2 if params.tied_second else 4, params.target, params.classifier
+    sources = [leaf for s in params.sources for leaf in (s.w1, s.b1, s.w2, s.b2)[:own]]
+    return [*sources, t.w1, t.b1, t.w2, t.b2, c.w, c.b]
 
 
 def with_leaves(params: ModelParams, group: str, new: Sequence[Leaf]) -> ModelParams:
     """`params` with `group`'s leaves replaced by `new` (Tensors or Nodes) in
-    `leaves` order; a tied source, having no `w2`, `b2` of its own, takes
-    the target's new ones, so a tied model stays tied."""
-    names = leaves(params, group)
-    if len(new) != len(names):
-        raise ShapeError(f"parameter group {group!r} has {len(names)} leaves, got {len(new)}")
+    `leaves` order, by position; a tied source, having no `w2`, `b2` of its
+    own, takes the target's new ones, so a tied model stays tied."""
+    own = 4 if group == "d" else 2 if params.tied_second else 4
+    count = 4 if group == "d" else own * params.num_sources + 6
+    if len(new) != count:
+        raise ShapeError(f"parameter group {group!r} has {count} leaves, got {len(new)}")
     if group == "d":
         return replace(params, discriminator=DiscriminatorParams(*new))
-    named = dict(zip(names, new))
-    target = TransformerParams(*[named[f"target {n}"] for n in _LAYERS])
-    sources = tuple(TransformerParams(*[named.get(f"source {k} {n}", getattr(target, n))
-                                        for n in _LAYERS]) for k in range(params.num_sources))
-    classifier = ClassifierParams(named["classifier w"], named["classifier b"])
-    return ModelParams(sources, target, classifier, params.discriminator)
+    k = own * params.num_sources
+    target = TransformerParams(*new[k:k + 4])
+    shared = (target.w2, target.b2)[:4 - own]
+    sources = tuple(TransformerParams(*new[j:j + own], *shared) for j in range(0, k, own))
+    return ModelParams(sources, target, ClassifierParams(*new[k + 4:]), params.discriminator)
 
 
 def lift(tape: Tape, params: ModelParams, group: str, *, trainable: bool) -> ModelParams:
@@ -210,7 +224,7 @@ def lift(tape: Tape, params: ModelParams, group: str, *, trainable: bool) -> Mod
     trainable leaves, so `tape.backward` returns gradients in that order,
     or as constants; the other group is left as it is."""
     put = tape.param if trainable else tape.constant
-    return with_leaves(params, group, [put(p) for p in leaves(params, group).values()])
+    return with_leaves(params, group, [put(p) for p in flat_leaves(params, group)])
 
 
 # -- forward passes -----------------------------------------------------------
@@ -292,28 +306,40 @@ def target_class_means(
     target_labels: np.ndarray,
     num_classes: int,
     target_unlabeled_emb: Node | None = None,
-    unlabeled_soft_labels: np.ndarray | None = None,
+    unlabeled_soft_labels: np.ndarray | Node | None = None,
 ) -> Node:
     """(C, d) target class means, one weighted row sum per target split.
 
     The mean for class c blends the labeled samples of that class with
     every unlabeled sample weighted by its soft-label probability for c;
-    the blend is normalized by labeled count plus total soft mass, which
-    the constant weights already carry. Soft labels are treated as
-    constants: gradients flow only through the embeddings.
+    the blend is normalized by labeled count plus total soft mass. Soft
+    labels (an array, or a node such as `embedding_pass`'s) are constants:
+    gradients flow only through the embeddings. The means are one op whose
+    kernel builds the soft-label weights and checks them (rows sum to 1,
+    every class has mass) on each evaluation, a replayed one too.
     """
     labeled = _class_indicators(target_labels, num_classes)
-    mass = labeled.sum(axis=1)
-    soft = None
+    labeled.setflags(write=False)  # a per-run constant of the op
+    nodes = [target_labeled_emb]
     if target_unlabeled_emb is not None:
         if unlabeled_soft_labels is None:
             raise ConfigError("unlabeled embeddings require soft labels")
-        soft = np.asarray(unlabeled_soft_labels, dtype=np.float64)
+        soft = unlabeled_soft_labels
+        if not isinstance(soft, Node):
+            soft = target_unlabeled_emb.tape.constant(soft)
         if soft.shape != (target_unlabeled_emb.shape[0], num_classes):
             raise ShapeError(
                 f"soft labels {soft.shape} do not match unlabeled embeddings "
                 f"{target_unlabeled_emb.shape} with {num_classes} classes"
             )
+        nodes += [target_unlabeled_emb, soft]
+    return apply(_CLASS_MEANS, nodes, (labeled,))
+
+
+def _class_means(labeled, labeled_emb, unlabeled_emb=None, soft=None):
+    """`target_class_means`' kernel: the means and the two row-sum weights."""
+    mass = labeled.sum(axis=1)
+    if soft is not None:
         if np.any(np.abs(soft.sum(axis=1) - 1.0) > 1e-9):
             raise ConfigError("soft-label rows must sum to 1 within 1e-9")
         mass = mass + soft.sum(axis=0)
@@ -321,10 +347,18 @@ def target_class_means(
         raise ConfigError(
             f"class {np.argmax(mass <= 0.0)} has zero labeled-plus-soft target mass"
         )
-    means = weighted_row_sum(target_labeled_emb, labeled / mass[:, None])
+    weights = (labeled / mass[:, None],)
+    means = weights[0] @ labeled_emb
     if soft is not None:
-        means = means + weighted_row_sum(target_unlabeled_emb, soft.T / mass[:, None])
-    return means
+        weights += (soft.T / mass[:, None],)
+        means = means + weights[1] @ unlabeled_emb
+    return means, weights
+
+
+# Replay runs the same kernels, so they must hold every value-dependent step.
+_CLASS_MEANS = Op("target_class_means", _class_means, (
+    lambda g, w_l, *_: w_l.T @ g, lambda g, w_l, w_u: w_u.T @ g, None))
+_SOFT_LABELS = Op("soft_labels", lambda z: (softmax_values(z), ()), (None,))
 
 
 def class_conditional_mmd(
@@ -345,7 +379,9 @@ def class_conditional_mmd(
     if not count.all():
         who = "" if domain is None else f" (source {domain})"
         raise ConfigError(f"class {count.argmin()} has no samples{who}")
-    source_means = weighted_row_sum(source_emb, members / count[:, None])
+    weights = members / count[:, None]
+    weights.setflags(write=False)  # a per-run constant, as a replay needs
+    source_means = weighted_row_sum(source_emb, weights)
     return sum_sq(target_means - source_means) / num_classes
 
 
@@ -363,13 +399,7 @@ def source_weight_nodes(deltas: Sequence[Node]) -> list[Node | float]:
         raise ConfigError("at least one source divergence is required")
     if k_total == 1:
         return [1.0]
-    ceiling = _SIGMOID_CEILING
-    sig = []
-    for d in deltas:
-        s = sigmoid(d)
-        if float(s.value) > ceiling:
-            s = s.tape.append("clip", np.float64(ceiling), (d.index,), (lambda g: g * 0.0,))
-        sig.append(s)
+    sig = [sigmoid(d, _SIGMOID_CEILING) for d in deltas]
     out: list[Node | float] = []
     for k in range(k_total):
         first, *rest = [s for j, s in enumerate(sig) if j != k]
@@ -453,7 +483,7 @@ class TransformerObjective:
 
 
 def divergence_nodes(
-    emb: TaskEmbeddings, task: MultiSourceTask, soft: np.ndarray
+    emb: TaskEmbeddings, task: MultiSourceTask, soft: Node | np.ndarray
 ) -> list[Node]:
     """One divergence per source, all against one build of the target class means."""
     means = target_class_means(emb.target_labeled, task.target_labeled.labels,
@@ -474,9 +504,10 @@ def embedding_pass(
     """Embed every domain of `task` once and build the weighting on the
     same tape.
 
-    Without supplied soft labels they come from classifying the unlabeled
-    target embedding; those logits are kept for evaluation. Divergences are
-    built for every source under either weighting (`ones` runs still record
+    Without supplied soft labels they are a node holding the softmax of
+    the unlabeled target embedding's logits, which are kept for evaluation;
+    no gradient flows through them. Divergences are built for every source
+    under either weighting (`ones` runs still record
     them); only conditional weighting turns them into weight nodes, and
     `source_weight_nodes` gives a single source weight 1. The divergences
     build the target class means once and share them across sources (see
@@ -494,7 +525,7 @@ def embedding_pass(
     soft_logits = None
     if soft is None:
         soft_logits = classify(model, emb.target_unlabeled)
-        soft = softmax_values(soft_logits.value)
+        soft = apply(_SOFT_LABELS, (soft_logits,))
     deltas = divergence_nodes(emb, task, soft)
     conditional = weighting == "conditional"
     weights = source_weight_nodes(deltas) if conditional else [1.0] * task.num_sources
@@ -537,16 +568,19 @@ def transformer_objective(
 def build_discriminator_objective(
     params: ModelParams,
     emb: TaskEmbeddings,
-    weights: Sequence[float],
+    weights: Sequence[float | np.ndarray],
 ) -> Node:
     """The loss minimized over the discriminator alone, on its own tape.
 
     Only the discriminator is lifted, as trainable leaves; `emb`'s node
-    values (read-only, so aliased) and the weights enter as constants.
+    values (read-only, so aliased) and the weights enter as constants, a
+    float as a static scale and an array (a weight node's 0-d value) as a
+    leaf, which a replay rebinds.
     """
     tape = Tape()
     model = lift(tape, params, "d", trainable=True)
     frozen = TaskEmbeddings([tape.constant(e.value) for e in emb.sources],
                             tape.constant(emb.target_labeled.value),
                             tape.constant(emb.target_unlabeled.value))
-    return domain_loss(model, frozen, [float(w) for w in weights], inverted=False)
+    weights = [w if isinstance(w, float) else tape.constant(w) for w in weights]
+    return domain_loss(model, frozen, weights, inverted=False)

@@ -4,7 +4,7 @@ Conventions: data matrices are (n, d) with samples in rows; vectors are
 rank 1. Tape nodes hold raw ndarrays (scalars are 0-d); the `Tensor`
 wrapper is the validated value type used for parameters and datasets.
 
-Six rules keep the hot paths lean without changing a result:
+Seven rules keep the hot paths lean without changing a result:
 
 - Ownership. An array is written in place only by the code that
   allocated it: `Adam` its `m` and `v`, `Tape.backward` a gradient sum it
@@ -22,8 +22,8 @@ Six rules keep the hot paths lean without changing a result:
   reference. There has been one: the class-conditional divergence builds
   each domain's class means as one (C, n) `weighted_row_sum` instead of a
   1-D row sum per class; `tests/oracles.py` keeps the per-class chain.
-- Lifetime. A `Node` owns its value, the tape keeps none but the
-  parameters' (their shapes give unreached parameters zero gradients),
+- Lifetime. A `Node` owns its value, the tape keeps none (the
+  parameters' shapes give unreached parameters zero gradients),
   and a vjp captures only what it reads: `leaky_relu` and `relu` keep a
   boolean mask, not their input. So an intermediate lives only while its
   node or a vjp that reads it does; a pre-activation is freed as soon as
@@ -52,6 +52,16 @@ Six rules keep the hot paths lean without changing a result:
   thread other than the main one, or any with one usable core, runs the
   whole kernel, which gives the same bits, so traces depend on neither
   the core count nor `--jobs`.
+- Replay. Each op kind is one `Op`: a forward kernel and one vjp rule per
+  parent, shared by the eager op functions and `Program`, which runs a
+  recorded tape's kernels again in order on new leaf values, then the same
+  `backward`; so a replay repeats the eager float ops by construction.
+  Only leaves whose value is a caller's slot array are rebound; every other
+  leaf and static argument is a per-run constant (a writable static array
+  is refused), so no step structure may depend on values: a sigmoid held
+  at its ceiling and the class means' soft-label weights are kernels. A
+  replay drops each value after its last reader unless a rule saved it or
+  the caller keeps it, and its tape lives one step.
 """
 
 from __future__ import annotations
@@ -59,8 +69,11 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+import weakref
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -185,40 +198,50 @@ class Node:
         return scale(self, 1.0 / float(other))
 
 
+# One kind of tape op: `forward(*static, *parent_values)` gives the value and
+# what the rules read, and `vjps[k](g, *saved)` gives parent k's gradient
+# contribution (None: none flows there). Eager ops and `Program` share them;
+# a leaf's static argument is a weak reference to its value.
+Op = namedtuple("Op", "name forward vjps")
+_PARAM, _CONST = (Op(name, lambda v: (v, ()), ()) for name in ("param", "const"))
+
+
 class Tape:
     """Wengert-list record of primitive operations.
 
     Nodes are appended in execution order, so node ids are topologically
     ordered by construction (every parent id is smaller than its consumer).
-    Each entry stores the op name, parent ids and one gradient callback per
-    parent; `backward` walks the list in reverse. Forward values belong to
-    the `Node`s (see "Lifetime").
+    Each entry stores the op name, parent ids, its kind with its static
+    arguments, and its gradient rules with what they read; `backward` walks
+    the list in reverse. Forward values belong to the `Node`s (see
+    "Lifetime").
     """
 
     def __init__(self):
         self._ops: list[str] = []
         self._parents: list[tuple[int, ...]] = []
-        self._vjps: list[tuple[Callable[[Array], Array] | None, ...] | None] = []
+        self._code: list[tuple[Op | None, tuple]] = []  # (kind, static arguments)
+        self._vjps: list[tuple[tuple, tuple] | None] = []  # (rules, what they read)
         self._needs_grad: list[bool] = []
-        self._params: list[tuple[int, Array]] = []  # (index, value): a Node would make a cycle
+        self._params: list[tuple[int, tuple[int, ...]]] = []  # (index, shape)
         self._differentiated = False
 
     # -- construction ----------------------------------------------------
 
-    def append(self, op, value, parents=(), vjps=(), needs_grad=None) -> Node:
-        """Record `value`, made read-only, as a new node; keeps the tuples given."""
+    def append(self, op, value, parents=(), vjps=(), needs_grad=None, kind=None,
+               static=()) -> Node:
+        """Record `value`, made read-only, as a node named `op`; keeps the tuples
+        given: with an `Op` `kind`, what its rules read and its static
+        arguments, else one gradient callable per parent (not replayable)."""
         if type(value) is not np.ndarray or value.dtype != np.float64:
             value = np.asarray(value, dtype=np.float64)
         value.setflags(write=False)
         if needs_grad is None:
-            needs_grad = False
-            for p in parents:
-                if self._needs_grad[p]:
-                    needs_grad = True
-                    break
+            needs_grad = any(self._needs_grad[p] for p in parents)
         self._ops.append(op)
         self._parents.append(parents)
-        self._vjps.append(vjps)
+        self._code.append((kind, static))
+        self._vjps.append((vjps, ()) if kind is None else (kind.vjps, vjps))
         self._needs_grad.append(needs_grad)
         return Node(self, len(self._ops) - 1, value)
 
@@ -226,8 +249,9 @@ class Tape:
         """Register a trainable leaf; `backward` returns its gradient."""
         if not isinstance(tensor, Tensor):
             tensor = Tensor(tensor)
-        node = self.append("param", tensor.array, needs_grad=True)
-        self._params.append((node.index, node.value))
+        node = self.append("param", tensor.array, needs_grad=True, kind=_PARAM,
+                           static=(weakref.ref(tensor.array),))
+        self._params.append((node.index, node.shape))
         return node
 
     def constant(self, values) -> Node:
@@ -240,7 +264,8 @@ class Tape:
             arr = values
         else:
             arr = np.array(values, dtype=np.float64)
-        return self.append("const", arr, needs_grad=False)
+        return self.append("const", arr, needs_grad=False, kind=_CONST,
+                           static=(weakref.ref(arr),))
 
     # -- reverse pass ----------------------------------------------------
 
@@ -271,17 +296,18 @@ class Tape:
         owned: set[int] = set()
         grads: list[Array | None] = [None] * len(self._ops)
         grads[loss.index] = np.ones((), dtype=np.float64)
+        parents_of, vjps, needs_grad = self._parents, self._vjps, self._needs_grad
         for i in range(loss.index, -1, -1):
-            vjps, self._vjps[i] = self._vjps[i], None
+            (rules, saved), vjps[i] = vjps[i], None
             g = grads[i]
             if g is None:
                 continue
             if i not in retained:
                 grads[i] = None
-            for parent, vjp in zip(self._parents[i], vjps):
-                if vjp is None or not self._needs_grad[parent]:
+            for parent, vjp in zip(parents_of[i], rules):
+                if vjp is None or not needs_grad[parent]:
                     continue
-                contribution = vjp(g)
+                contribution = vjp(g, *saved)
                 if grads[parent] is None:
                     grads[parent] = contribution
                 elif parent in owned:
@@ -290,14 +316,71 @@ class Tape:
                     grads[parent] = grads[parent] + contribution
                     owned.add(parent)
         out = []
-        for idx, value in self._params:
+        for idx, shape in self._params:
             g = grads[idx]
             try:
-                out.append(Tensor._adopt(np.zeros_like(value) if g is None else g))
+                out.append(Tensor._adopt(np.zeros(shape) if g is None else g))
             except ValueError:
                 raise NonFiniteError(f"gradient of parameter {len(out)}",
                                      position=len(out)) from None
         return out
+
+
+class Program:
+    """A recorded tape, evaluated again on new leaf values (see "Replay").
+
+    A leaf whose recorded value is `slots[j]` itself reads slot `j` of each
+    `run`; `keep` lists the nodes the caller reads after their last reader.
+    A node without a kernel, an unbound trainable leaf or slot, a freed
+    constant or a writable static array raises `ValueError`."""
+
+    def __init__(self, tape: Tape, slots: Sequence[Array], keep: Sequence[int] = ()):
+        where = {id(a): j for j, a in enumerate(slots)}
+        last = {p: i for i, parents in enumerate(tape._parents) for p in (i, *parents)}
+        dead: list[list[int]] = [[] for _ in last]  # the values each node reads last
+        for p, i in last.items():
+            if p not in keep:
+                dead[i].append(p)
+        self._code = []
+        for i, (kind, static) in enumerate(tape._code):
+            if kind is _PARAM or kind is _CONST:
+                static = (static[0](),)  # the leaf's value, None once it was freed
+                if id(static[0]) in where:  # bound: the program keeps no value of it
+                    self._code.append((None, where[id(static[0])], (), (), ()))
+                    continue
+            if kind is None or kind is _PARAM or any(
+                    a is None or isinstance(a, np.ndarray) and not _frozen(a) for a in static):
+                raise ValueError(f"node {i} ({tape._ops[i]}) cannot be replayed")
+            self._code.append((kind.forward, tape._parents[i], static, kind.vjps, dead[i]))
+        if len({c[1] for c in self._code if c[0] is None}) != len(where):
+            raise ValueError("a slot array is no leaf of the tape")
+        self._shape = (tape._ops, tape._parents, tape._needs_grad, tape._params)
+
+    def run(self, slots: Sequence[Array], stop: int | None = None,
+            tape: Tape | None = None) -> Tape:
+        """Evaluate the nodes after those `tape` holds (a new tape if None) up
+        to `stop`, and return the tape; it is read through `node` and
+        differentiated, never appended to."""
+        if tape is None:
+            tape = Tape()
+            tape._ops, tape._parents, tape._needs_grad, tape._params = self._shape
+            tape._values = []
+        values, vjps = tape._values, tape._vjps
+        for forward, parents, static, rules, dead in self._code[len(values):stop]:
+            if forward is None:  # a bound leaf; `parents` is its slot
+                values.append(slots[parents])
+                vjps.append(((), ()))
+                continue
+            value, saved = forward(*static, *[values[p] for p in parents])
+            values.append(value)
+            vjps.append((rules, saved))
+            for p in dead:
+                values[p] = None
+        return tape
+
+    def node(self, tape: Tape, index: int) -> Node:
+        """A handle to a node `run` evaluated on `tape` and kept."""
+        return Node(tape, index, tape._values[index])
 
 
 def _same_tape(*nodes: Node) -> Tape:
@@ -308,48 +391,41 @@ def _same_tape(*nodes: Node) -> Tape:
     return tape
 
 
-def _lift(tape: Tape, other) -> Node:
-    if isinstance(other, Node):
-        return other
-    return tape.constant(other)
+def apply(op: Op, nodes: Sequence[Node], static: tuple = ()) -> Node:
+    """`op` on `nodes`, which share one tape, recorded with its static arguments."""
+    tape = _same_tape(*nodes)
+    value, saved = op.forward(*static, *[n.value for n in nodes])
+    return tape.append(op.name, value, tuple(n.index for n in nodes), saved, kind=op,
+                       static=static)
 
 
 # -- elementwise and scalar arithmetic ------------------------------------
 
 
 def add(x: Node, y) -> Node:
-    y = _lift(x.tape, y)
-    tape = _same_tape(x, y)
-    xv, yv = x.value, y.value
-    if xv.shape != yv.shape:
-        raise ShapeError(f"add shapes differ: {xv.shape} vs {yv.shape}")
-    return tape.append("add", xv + yv, (x.index, y.index), (lambda g: g, lambda g: g))
+    y = y if isinstance(y, Node) else x.tape.constant(y)
+    if x.shape != y.shape:
+        raise ShapeError(f"add shapes differ: {x.shape} vs {y.shape}")
+    return apply(_ADD, (x, y))
 
 
 def sub(x: Node, y) -> Node:
-    y = _lift(x.tape, y)
-    tape = _same_tape(x, y)
-    xv, yv = x.value, y.value
-    if xv.shape != yv.shape:
-        raise ShapeError(f"sub shapes differ: {xv.shape} vs {yv.shape}")
-    return tape.append("sub", xv - yv, (x.index, y.index), (lambda g: g, lambda g: -g))
+    y = y if isinstance(y, Node) else x.tape.constant(y)
+    if x.shape != y.shape:
+        raise ShapeError(f"sub shapes differ: {x.shape} vs {y.shape}")
+    return apply(_SUB, (x, y))
 
 
 def mul(x: Node, y) -> Node:
     if not isinstance(y, Node):
         return scale(x, float(y))
-    tape = _same_tape(x, y)
-    xv, yv = x.value, y.value
-    if xv.shape != yv.shape:
-        raise ShapeError(f"mul shapes differ: {xv.shape} vs {yv.shape}")
-    return tape.append(
-        "mul", xv * yv, (x.index, y.index), (lambda g: g * yv, lambda g: g * xv)
-    )
+    if x.shape != y.shape:
+        raise ShapeError(f"mul shapes differ: {x.shape} vs {y.shape}")
+    return apply(_MUL, (x, y))
 
 
 def scale(x: Node, c: float) -> Node:
-    c = float(c)
-    return x.tape.append("scale", x.value * c, (x.index,), (lambda g: g * c,))
+    return apply(_SCALE, (x,), (float(c),))
 
 
 # -- core network primitives -----------------------------------------------
@@ -359,12 +435,8 @@ def matmul_affine(x: Node, w: Node, b: Node) -> Node:
     """x (n, a) @ w (a, b) + bias (b,), bias broadcast over rows."""
     tape = _same_tape(x, w, b)
     xv, wv = x.value, w.value
-    return tape.append(
-        "matmul_affine",
-        affine_values(xv, wv, b.value),
-        (x.index, w.index, b.index),
-        (lambda g: _matmul(g, wv.T), lambda g: _matmul(xv.T, g), lambda g: g.sum(axis=0)),
-    )
+    return tape.append("matmul_affine", affine_values(xv, wv, b.value),
+                       (x.index, w.index, b.index), (xv, wv), kind=_MATMUL_AFFINE)
 
 
 def affine_values(x, w, b) -> Array:
@@ -378,9 +450,7 @@ def affine_values(x, w, b) -> Array:
         raise ShapeError(
             f"matmul_affine dimensions disagree: x {x.shape}, w {w.shape}, b {b.shape}"
         )
-    out = _matmul(x, w)
-    out += b
-    return out
+    return _MATMUL_AFFINE.forward(x, w, b)[0]
 
 
 # -- the helper thread (see "Parallelism") -----------------------------------------
@@ -443,9 +513,7 @@ def _matmul(a: Array, b: Array) -> Array:
 
 
 def relu(x: Node) -> Node:
-    xv = x.value
-    mask = xv > 0
-    return x.tape.append("relu", np.maximum(xv, 0.0), (x.index,), (lambda g: g * mask,))
+    return apply(_RELU, (x,))
 
 
 LEAKY_SLOPE = 0.01  # the negative-side slope of the transformers' leaky rectifier
@@ -459,18 +527,9 @@ def leaky_relu(x: Node) -> Node:
     `x >= LEAKY_SLOPE * x`, and the vjp keeps only the boolean mask, not
     `x`. It builds the factor as `max(mask, LEAKY_SLOPE)`, which equals the
     `where` factor bit for bit for a slope in [0, 1], without its
-    per-element branch.
+    per-element branch, and multiplies `g` into it in place.
     """
-    xv = x.value
-    out = leaky_relu_values(xv)
-    keep = out == xv
-
-    def vjp(g):
-        factor = np.maximum(keep, LEAKY_SLOPE, dtype=np.float64)
-        factor *= g
-        return factor
-
-    return x.tape.append("leaky_relu", out, (x.index,), (vjp,))
+    return apply(_LEAKY_RELU, (x,))
 
 
 def leaky_relu_values(x) -> Array:
@@ -481,9 +540,10 @@ def leaky_relu_values(x) -> Array:
     return out
 
 
-def sigmoid(x: Node) -> Node:
-    s = sigmoid_values(x.value)
-    return x.tape.append("sigmoid", s, (x.index,), (lambda g: g * s * (1.0 - s),))
+def sigmoid(x: Node, ceiling: float = np.inf) -> Node:
+    """Elementwise logistic, held at `ceiling` where it would pass it; a held
+    entry passes the gradient `g * 0.0`, any other `g * s * (1 - s)`."""
+    return apply(_SIGMOID, (x,), (float(ceiling),))
 
 
 def sigmoid_values(x: Array) -> Array:
@@ -502,27 +562,30 @@ def weighted_row_sum(x: Node, weights) -> Node:
     xv = x.value
     if xv.ndim != 2 or wv.ndim not in (1, 2) or wv.shape[-1] != xv.shape[0]:
         raise ShapeError(f"weighted_row_sum got weights {wv.shape} for matrix {xv.shape}")
-    vjp = (lambda g: np.outer(wv, g)) if wv.ndim == 1 else (lambda g: wv.T @ g)
-    return x.tape.append("weighted_row_sum", wv @ xv, (x.index,), (vjp,))
+    return apply(_WEIGHTED_ROW_SUM, (x,), (wv,))
 
 
 def sum_sq(x: Node) -> Node:
     """Sum of squared entries, as a scalar node."""
-    xv = x.value
-    return x.tape.append("sum_sq", np.sum(xv * xv), (x.index,), (lambda g: g * 2.0 * xv,))
+    return apply(_SUM_SQ, (x,))
 
 
 def sum_abs(x: Node) -> Node:
     """Sum of absolute entries; subgradient 0 at exact zeros."""
-    xv = x.value
-    return x.tape.append("sum_abs", np.sum(np.abs(xv)), (x.index,), (lambda g: g * np.sign(xv),))
+    return apply(_SUM_ABS, (x,))
 
 
 def softmax_values(logits: Array) -> Array:
     """Row-wise stable softmax on raw arrays."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
+    e = np.exp(z - _row_max(z))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _row_max(z: Array) -> Array:
+    """`z.max(axis=1, keepdims=True)`, several times faster at a few columns.
+    A maximum is exact; only a zero's sign may differ, which no caller sees."""
+    return reduce(np.maximum, z.T)[:, None]
 
 
 def softmax_cross_entropy(logits: Node, labels) -> Node:
@@ -536,22 +599,21 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
         raise ShapeError(f"cross entropy labels {y.shape} do not match logits {zv.shape}")
     if y.dtype.kind not in "iu":
         raise ValueError(f"cross entropy labels must be integers, got dtype {y.dtype}")
-    n, num_classes = zv.shape
-    if y.min() < 0 or y.max() >= num_classes:
-        raise ValueError(f"cross entropy labels must lie in [0, {num_classes})")
+    if y.min() < 0 or y.max() >= zv.shape[1]:
+        raise ValueError(f"cross entropy labels must lie in [0, {zv.shape[1]})")
+    return apply(_CROSS_ENTROPY, (logits,), (y,))
+
+
+def _cross_entropy(y: Array, z: Array) -> tuple[Array, tuple]:
+    n = z.shape[0]
     rows = np.arange(n)
-    m = zv.max(axis=1, keepdims=True)
-    d = np.exp(zv - m)  # becomes softmax - onehot, in place
+    m = _row_max(z)
+    d = np.exp(z - m)  # becomes softmax - onehot, in place
     total = d.sum(axis=1, keepdims=True)
-    out = np.mean(m[:, 0] + np.log(total[:, 0]) - zv[rows, y])
+    out = np.mean(m[:, 0] + np.log(total[:, 0]) - z[rows, y])
     d /= total
     d[rows, y] -= 1.0
-    return logits.tape.append(
-        "softmax_cross_entropy",
-        out,
-        (logits.index,),
-        (lambda g: g * d / n,),
-    )
+    return out, (d, n)
 
 
 def squared_error(pred: Node, target) -> Node:
@@ -563,10 +625,31 @@ def squared_error(pred: Node, target) -> Node:
     pv, tv = pred.value, _as_array(target)
     if pv.ndim != 2 or tv.shape not in (pv.shape, pv.shape[1:]):
         raise ShapeError(f"squared_error shapes differ: {pv.shape} vs {tv.shape}")
-    n = pv.shape[0]
-    diff = pv - tv
-    out = np.sum(diff * diff) / n
-    return pred.tape.append("squared_error", out, (pred.index,), (lambda g: g * 2.0 * diff / n,))
+    return apply(_SQUARED_ERROR, (pred,), (tv,))
+
+
+# -- the op table: each kind's kernel and per-parent rules (see "Replay") -----
+
+_ADD = Op("add", lambda x, y: (x + y, ()), (lambda g: g, lambda g: g))
+_SUB = Op("sub", lambda x, y: (x - y, ()), (lambda g: g, lambda g: -g))
+_MUL = Op("mul", lambda x, y: (x * y, (x, y)), (lambda g, x, y: g * y, lambda g, x, y: g * x))
+_SCALE = Op("scale", lambda c, x: (x * c, (c,)), (lambda g, c: g * c,))
+_MATMUL_AFFINE = Op("matmul_affine", lambda x, w, b: (
+    np.add(out := _matmul(x, w), b, out=out), (x, w)), (  # out += b
+    lambda g, x, w: _matmul(g, w.T), lambda g, x, w: _matmul(x.T, g),
+    lambda g, x, w: g.sum(axis=0)))
+_RELU = Op("relu", lambda x: (np.maximum(x, 0.0), (x > 0,)), (lambda g, mask: g * mask,))
+_LEAKY_RELU = Op("leaky_relu", lambda x: (out := leaky_relu_values(x), (out == x,)), (
+    lambda g, keep: np.multiply(f := np.maximum(keep, LEAKY_SLOPE, dtype=np.float64), g, out=f),))
+_SIGMOID = Op("sigmoid", lambda c, x: (np.minimum(s := sigmoid_values(x), c), (s, c)), (
+    lambda g, s, c: np.where(s > c, g * 0.0, g * s * (1.0 - s)),))
+_WEIGHTED_ROW_SUM = Op("weighted_row_sum", lambda w, x: (w @ x, (w,)), (
+    lambda g, w: np.outer(w, g) if w.ndim == 1 else w.T @ g,))
+_SUM_SQ = Op("sum_sq", lambda x: (np.sum(x * x), (x,)), (lambda g, x: g * 2.0 * x,))
+_SUM_ABS = Op("sum_abs", lambda x: (np.sum(np.abs(x)), (x,)), (lambda g, x: g * np.sign(x),))
+_CROSS_ENTROPY = Op("softmax_cross_entropy", _cross_entropy, (lambda g, d, n: g * d / n,))
+_SQUARED_ERROR = Op("squared_error", lambda t, p: (
+    np.sum((d := p - t) * d) / p.shape[0], (d, p.shape[0])), (lambda g, d, n: g * 2.0 * d / n,))
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -582,7 +665,9 @@ class Adam:
     than 2**15 entries is in one bucket: its `m` and `v` are views into one
     flat pair, and a step updates the bucket's concatenated values and
     gradients in one pass, checks the result once and returns each such
-    parameter as a read-only view of it; a larger one is updated alone. Each
+    parameter as a read-only view of it; when every bucketed parameter is
+    again the view the last step returned, that step's array is the values
+    as they are, with no concatenation. A larger one is updated alone. Each
     step holds one temporary per bucket or large parameter besides the new
     values, and checks every shape before it changes any state.
     """
@@ -612,6 +697,7 @@ class Adam:
         for i, part, shape in self._bucket:
             self.m[i] = self._bucket_m[part].reshape(shape)
             self.v[i] = self._bucket_v[part].reshape(shape)
+        self._last: tuple = (None, [])  # the last step's bucket values and the views it returned
 
     def step(self, params: Sequence[Tensor], grads: Sequence[Tensor]) -> list[Tensor]:
         if len(params) != len(self.m) or len(grads) != len(self.m):
@@ -643,7 +729,10 @@ class Adam:
                            [*(a[h:] for a in flat), scales])
             out[i] = Tensor._adopt(new)
         if self._bucket:
-            p = np.concatenate([params[i].array for i, _, _ in self._bucket], axis=None)
+            arrays = [params[i].array for i, _, _ in self._bucket]
+            p, views = self._last
+            if p is None or any(a is not b for a, b in zip(arrays, views)):
+                p = np.concatenate(arrays, axis=None)  # not all of the last step's views
             g = np.concatenate([grads[i].array for i, _, _ in self._bucket], axis=None)
             new = np.empty_like(p)
             _adam_update(p, g, self._bucket_m, self._bucket_v, np.empty_like(p), new, scales)
@@ -651,6 +740,7 @@ class Adam:
             for i, part, shape in self._bucket:
                 out[i] = Tensor.__new__(Tensor)
                 out[i].array = new[part].reshape(shape)  # read-only, as `new` is
+            self._last = new, [out[i].array for i, _, _ in self._bucket]
         return out
 
 

@@ -1,22 +1,33 @@
 """Alternating two-optimizer training loop with per-iteration weighting.
 
-Each iteration builds one tape and pushes every domain through its
-transformer on it once; everything else is read off that tape's values:
+Each iteration runs one tape, on which every domain passes through its
+transformer once; everything else is read off that tape's values:
 
 1. lift the transformer/classifier parameters as trainable leaves and
    embed all domains;
-2. classify the unlabeled-target embedding; its softmax gives the soft
-   labels;
-3. build the target class means once, as one weighted row sum per target
-   split, then one class-conditional divergence per source against them
-   (under either weighting, since `ones` runs still record them) and,
-   with conditional weighting, the source-weight nodes;
-4. take one discriminator Adam step against the true domain labels, on the
-   embedding values and the weights' values as constants;
+2. classify the unlabeled-target embedding; a soft-labels node holds its
+   softmax, the soft labels;
+3. build the target class means once, as one op whose kernel weighs both
+   target splits and checks the soft labels, then one class-conditional
+   divergence per source against them (under either weighting, since
+   `ones` runs still record them) and, with conditional weighting, the
+   source-weight nodes;
+4. take one discriminator Adam step against the true domain labels, on a
+   tape of its own with the embedding values and the weight nodes' values
+   as constant leaves;
 5. lift the updated discriminator onto the same tape as constants, add the
    classification, consistency and inverted-domain losses, backpropagate,
    and take one transformer/classifier Adam step. The weights stay live on
    the tape, so gradients reach the divergences.
+
+`train` builds these through `model` on its first step only and records
+both tapes as `numerics.Program`s in a `StepProgram`; every later step
+replays them: it binds the new parameters, embedding values and weights
+to the recorded leaves, runs the recorded kernels in order (the embedding
+pass, then the rest once the discriminator has stepped) and takes the
+same backward sweeps, so a replayed step is bit-identical to a built one.
+A step some substituted builder made unreplayable (a row-sum weight
+computed from values, say) is built again every iteration.
 
 `Tape.backward` sums gradient contributions into a shared embedding node
 in reverse tape order, so the node order above is part of the numerics:
@@ -38,7 +49,8 @@ rule of `numerics`): every value the step reports, the soft-label
 accuracy included, is read before the transformer/classifier backward,
 and the embedding pass and its objective are dropped right after it, so
 that step's Adam update runs with no tape alive. The discriminator's
-tape is dropped once its own step is done.
+tape is dropped once its own step is done. A replayed step drops its
+tapes at the same points.
 """
 
 from __future__ import annotations
@@ -55,15 +67,17 @@ from .model import (
     ClassifierParams,
     DiscriminatorParams,
     ModelParams,
+    TransformerObjective,
     TransformerParams,
     build_discriminator_objective,
     classifier_logits,
     embedding_pass,
+    flat_leaves,
     leaves,
     transformer_objective,
     with_leaves,
 )
-from .numerics import Adam, Node, Tensor
+from .numerics import Adam, Node, Program, Tensor
 
 
 @dataclass(frozen=True)
@@ -173,8 +187,23 @@ def _hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
 # -- one iteration ----------------------------------------------------------------
 
 
-def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
-               task: MultiSourceTask, config: TrainConfig):
+@dataclass
+class StepProgram:
+    """A run's training step as its first `train_step` recorded it: the two
+    tapes' programs and the nodes a step reads off them. `fg` stays None
+    when the step cannot be replayed; every step is then built again."""
+
+    recorded: bool = False
+    fg: Program | None = None  # embedding pass and transformer objective
+    d: Program | None = None  # discriminator objective
+    first: list = field(default_factory=list)  # deltas, weights, embeddings, soft logits
+    parts: list = field(default_factory=list)  # a `TransformerObjective`'s fields
+    split: int = 0  # the fg nodes the discriminator step reads
+    d_loss: int = 0
+
+
+def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam, task: MultiSourceTask,
+               config: TrainConfig, program: StepProgram | None = None):
     """One alternation on one tape over `task`: discriminator step, then
     transformer/classifier step (order in the module docstring).
 
@@ -183,34 +212,86 @@ def train_step(params: ModelParams, opt_fg: Adam, opt_d: Adam,
     from*: the soft-label logits of its forward scored on the unlabeled
     split against `task.eval_labels`. All of them are read before the
     transformer/classifier backward, and the tape is dropped before the
-    Adam step that follows it.
+    Adam step that follows it. Given a `program`, the first call records
+    the step into it and every later call replays it.
     """
-    fwd = embedding_pass(params, task, weighting=config.weighting)
-    deltas = tuple(float(d.value) for d in fwd.deltas)
-    _check_finite((f"delta_{k + 1}", d) for k, d in enumerate(deltas))
-    weights = tuple(float(w.value) if isinstance(w, Node) else w for w in fwd.weights)
+    replay = program is not None and program.fg is not None
+    record = program is not None and not program.recorded
+    fg_slots = [p.array for p in flat_leaves(params, "fg")]
+    fwd = None
+    if replay:
+        fg = program.fg.run(fg_slots, program.split)
+        first = _nodes(program.fg, fg, program.first)
+    else:
+        fwd = embedding_pass(params, task, weighting=config.weighting)
+        fg, first = fwd.tape, [*fwd.deltas, *fwd.weights, *fwd.emb.sources,
+                               fwd.emb.target_labeled, fwd.emb.target_unlabeled, fwd.soft_logits]
+    k = task.num_sources
+    deltas = tuple(float(d.value) for d in first[:k])
+    _check_finite((f"delta_{j + 1}", d) for j, d in enumerate(deltas))
+    weight_values = [w.value if isinstance(w, Node) else w for w in first[k:2 * k]]
+    weights = tuple(float(w) for w in weight_values)
 
-    d_loss = build_discriminator_objective(params, fwd.emb, weights)
+    d_slots = [*(p.array for p in flat_leaves(params, "d")),
+               *(e.value for e in first[2 * k:3 * k + 2]),
+               *(w.value for w in first[k:2 * k] if isinstance(w, Node))]
+    if replay:
+        d_loss = program.d.node(program.d.run(d_slots), program.d_loss)
+    else:
+        d_loss = build_discriminator_objective(params, fwd.emb, weight_values)
+        if record:
+            d_program = _recording(d_loss.tape, d_slots, [d_loss.index])
+            program.d_loss = d_loss.index
     loss_d = float(d_loss.value)
     _check_finite([("loss_d", loss_d)])
     d_grads = _gradients(d_loss, params, "d")
-    params = with_leaves(params, "d", opt_d.step(list(leaves(params, "d").values()), d_grads))
-    del d_loss, d_grads
+    params = with_leaves(params, "d", opt_d.step(flat_leaves(params, "d"), d_grads))
+    del d_loss, d_grads, d_slots
 
-    obj = transformer_objective(
-        fwd, params.discriminator, task,
-        beta=config.beta, tau=config.tau, lg_norm=config.lg_norm,
-    )
+    fg_slots += [p.array for p in flat_leaves(params, "d")]
+    if replay:
+        program.fg.run(fg_slots, tape=fg)
+        obj = TransformerObjective(*_nodes(program.fg, fg, program.parts))
+    else:
+        obj = transformer_objective(
+            fwd, params.discriminator, task,
+            beta=config.beta, tau=config.tau, lg_norm=config.lg_norm,
+        )
     loss_fg = float(obj.classification.value)
     loss_lg = 0.0 if obj.consistency is None else float(obj.consistency.value)
     loss_dg_inv = float(obj.inverted_domain.value)
     _check_finite([("loss_fg", loss_fg), ("loss_lg", loss_lg), ("loss_dg_inv", loss_dg_inv),
                    ("objective", float(obj.objective.value))])
-    target_acc = _hit_rate(fwd.soft_logits.value, task.eval_labels)
+    target_acc = _hit_rate(first[-1].value, task.eval_labels)
+    if record:
+        parts = [obj.objective, obj.classification, obj.consistency, obj.inverted_domain]
+        program.recorded, program.first, program.parts = True, _indices(first), _indices(parts)
+        reads = [i for i in program.first if type(i) is int]
+        program.split = 1 + max(reads)
+        fg_program = _recording(fg, fg_slots, reads + [n.index for n in parts if n is not None])
+        if d_program and fg_program:
+            program.fg, program.d = fg_program, d_program
     fg_grads = _gradients(obj.objective, params, "fg")
-    del fwd, obj
-    params = with_leaves(params, "fg", opt_fg.step(list(leaves(params, "fg").values()), fg_grads))
+    del fwd, fg, first, obj
+    params = with_leaves(params, "fg", opt_fg.step(flat_leaves(params, "fg"), fg_grads))
     return params, (loss_fg, loss_lg, loss_dg_inv, loss_d), deltas, weights, target_acc
+
+
+def _recording(tape, slots, keep) -> Program | None:
+    """The program of `tape`, or None for a step a replay cannot repeat (one
+    that a substituted builder made value-dependent, say)."""
+    try:
+        return Program(tape, slots, keep)
+    except ValueError:
+        return None
+
+
+def _indices(nodes) -> list:
+    return [n.index if isinstance(n, Node) else n for n in nodes]
+
+
+def _nodes(program: Program, tape, indices) -> list:
+    return [program.node(tape, i) if type(i) is int else i for i in indices]
 
 
 def _check_finite(named) -> None:
@@ -252,11 +333,12 @@ def train(task: MultiSourceTask, config: TrainConfig,
           params: ModelParams | None = None) -> TrainTrace:
     """Run full-batch alternating training and record every iteration.
 
-    One `train_step` per iteration; each step's forward also evaluates the
-    parameters the previous step produced, so iteration i's target
-    accuracy is filled in by step i+1, and one trailing evaluation of the
-    unlabeled target covers the last step. Identical (task, config, params)
-    inputs produce bit-identical traces.
+    One `train_step` per iteration, the first recording the step and the
+    others replaying it (see the module docstring); each step's forward
+    also evaluates the parameters the previous step produced, so iteration
+    i's target accuracy is filled in by step i+1, and one trailing
+    evaluation of the unlabeled target covers the last step. Identical
+    (task, config, params) inputs produce bit-identical traces.
 
     A divergence, loss or gradient that is not finite raises
     `NonFiniteError` naming it (`delta_k`, a trace column, `objective` or
@@ -266,8 +348,9 @@ def train(task: MultiSourceTask, config: TrainConfig,
     if params is None:
         params = init_params(task, config)
     validate_task(task, params)
-    opt_fg = Adam(list(leaves(params, "fg").values()), config.lr_fg)
-    opt_d = Adam(list(leaves(params, "d").values()), config.lr_d)
+    opt_fg = Adam(flat_leaves(params, "fg"), config.lr_fg)
+    opt_d = Adam(flat_leaves(params, "d"), config.lr_d)
+    program = StepProgram()  # recorded by the first step, replayed by the others
     trace = TrainTrace()
     pending = None  # the previous step's record fields, awaiting its accuracy
 
@@ -278,7 +361,7 @@ def train(task: MultiSourceTask, config: TrainConfig,
         try:  # a step checks every value it hands on, so numpy need not warn
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 params, losses, deltas, weights, accuracy = train_step(
-                    params, opt_fg, opt_d, task, config
+                    params, opt_fg, opt_d, task, config, program
                 )
         except NonFiniteError as exc:
             if pending is not None:

@@ -141,8 +141,11 @@ def toy_setup():
 
 
 def overflow_gradient_at_third_step(monkeypatch):
-    """Make the classifier gradient of `train`'s third step overflow."""
+    """Make the classifier gradient of `train`'s third step overflow. The
+    blow-up is added to the third objective a step builds, so every step of
+    the run is built (given no program to record and replay)."""
     real = training.transformer_objective
+    real_step = training.train_step
     steps = []
 
     def overflowing_at_third_step(fwd, *args, **kwargs):
@@ -155,6 +158,7 @@ def overflow_gradient_at_third_step(monkeypatch):
         return replace(obj, objective=obj.objective + blowup)
 
     monkeypatch.setattr(training, "transformer_objective", overflowing_at_third_step)
+    monkeypatch.setattr(training, "train_step", lambda *args: real_step(*args[:5]))
 
 
 @pytest.fixture

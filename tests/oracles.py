@@ -148,7 +148,10 @@ def old_order_class_conditional_mmd(
 def old_order_divergence_nodes(emb, task, soft):
     """`model.divergence_nodes` on the old-order chain: every source
     rebuilds the target class means. Substitute it for the package's to
-    train in the old float order."""
+    train in the old float order; `soft` is the soft labels' node (or an
+    array), read here as constants. The chain bakes them into its row-sum
+    weights, so a run built with it cannot be replayed and trains eagerly."""
+    soft = getattr(soft, "value", soft)
     return [
         old_order_class_conditional_mmd(
             emb_k, source.labels, emb.target_labeled, task.target_labeled.labels,

@@ -46,6 +46,19 @@ class TestDomainData:
         with pytest.raises(ConfigError):
             DomainData("bad", Tensor(np.ones((2, 2))), np.array([0]), 3)
 
+    def test_labels_are_the_domains_own_and_read_only(self):
+        # a caller's later write must not put an invalid class into a
+        # validated domain, nor into a task's held-out labels
+        lab, held = np.array([0, 1, 2, 0]), np.array([2, 1])
+        domain = DomainData("d", Tensor(np.ones((4, 2))), lab, 3)
+        task = MultiSourceTask([domain], domain, DomainData("u", Tensor(np.ones((2, 2))), None, 3),
+                               held)
+        lab[0], held[0] = 7, 7
+        assert domain.labels[0] == 0 and task.eval_labels[0] == 2
+        for labels in (domain.labels, task.eval_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                labels[0] = 1
+
     def test_class_counts(self):
         d = DomainData("ok", Tensor(np.ones((4, 2))), np.array([0, 1, 1, 2]), 4)
         np.testing.assert_array_equal(d.class_counts(), [1, 2, 1, 0])

@@ -32,6 +32,7 @@ from heteroadapt.model import (
     domain_loss,
     embed_task,
     embedding_pass,
+    flat_leaves,
     leaves,
     lift,
     source_weight_nodes,
@@ -235,6 +236,31 @@ class TestParamPlumbing:
         assert list(named) == [owner_name(params, leaf) for leaf in named.values()]
         if kind == "tied":
             assert "target w2" in named and "source 0 w2" not in named
+
+    @pytest.mark.parametrize("kind", ["untied", "tied", "no sources"])
+    def test_positional_rebuild_equals_rebuild_by_name(self, kind):
+        dims = () if kind == "no sources" else (3, 5)
+        params = make_params(np.random.default_rng(8), dims, 4, tied=kind == "tied")
+        for group in ("fg", "d"):
+            new = [Tensor(leaf.array + 1.0) for leaf in flat_leaves(params, group)]
+            named = dict(zip(leaves(params, group), new))
+            if group == "d":
+                want = replace(params, discriminator=DiscriminatorParams(
+                    *[named[f"discriminator {n}"] for n in ("w1", "b1", "w2", "b2")]))
+            else:  # the rebuild by name that the positional one replaced
+                target = TransformerParams(*[named[f"target {n}"] for n in ("w1", "b1", "w2", "b2")])
+                sources = tuple(
+                    TransformerParams(*[named.get(f"source {k} {n}", getattr(target, n))
+                                        for n in ("w1", "b1", "w2", "b2")])
+                    for k in range(params.num_sources))
+                classifier = ClassifierParams(named["classifier w"], named["classifier b"])
+                want = ModelParams(sources, target, classifier, params.discriminator)
+            got = with_leaves(params, group, new)
+            assert got.tied_second == want.tied_second == params.tied_second
+            for a, b in zip(leaf_list(got, "fg", "d"), leaf_list(want, "fg", "d"), strict=True):
+                assert a is b
+            assert [t.w2 is got.target.w2 for t in got.sources] == [
+                t.w2 is want.target.w2 for t in want.sources]
 
     @pytest.mark.parametrize("group", ["fg", "d"])
     @pytest.mark.parametrize("extra", [-1, 1])

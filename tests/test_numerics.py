@@ -708,6 +708,32 @@ class TestAdam:
         for state in opt.m + opt.v:
             assert not state.any()
 
+    def test_bucket_values_read_off_the_last_step_bit_for_bit(self, monkeypatch):
+        # a step handed back the views the last one returned concatenates only
+        # the gradients; one foreign small parameter takes the concatenation path
+        rng = np.random.default_rng(9)
+        start = [Tensor(rng.uniform(-1, 1, shape)) for shape in ((3, 2), (2,), (4,))]
+        grads = [[Tensor(rng.uniform(-1, 1, p.shape)) for p in start] for _ in range(4)]
+        concatenations = []
+        real = np.concatenate
+        monkeypatch.setattr(numerics.np, "concatenate",
+                            lambda *a, **k: concatenations.append(1) or real(*a, **k))
+        views, copies = Adam(start, lr=0.01), Adam(start, lr=0.01)
+        mixed = Adam(start, lr=0.01)
+        a = b = c = start
+        for t, g in enumerate(grads):
+            concatenations.clear()
+            a = views.step(a, g)
+            assert len(concatenations) == (2 if t == 0 else 1)
+            b = copies.step([Tensor(p.array.copy()) for p in b], g)
+            c = mixed.step([Tensor(c[0].array.copy()), *c[1:]], g)
+            for x, y, z in zip(a, b, c):
+                np.testing.assert_array_equal(bits(x.array), bits(y.array))
+                np.testing.assert_array_equal(bits(x.array), bits(z.array))
+        for opt in (copies, mixed):
+            np.testing.assert_array_equal(bits(views._bucket_m), bits(opt._bucket_m))
+            np.testing.assert_array_equal(bits(views._bucket_v), bits(opt._bucket_v))
+
     @pytest.mark.parametrize("name,value", [
         ("lr", math.nan), ("lr", math.inf), ("lr", -math.inf), ("lr", 0.0), ("lr", -1.0),
         ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1.0),
